@@ -1,5 +1,7 @@
 //! The per-cluster Barrier table (§II-B.2 of the paper).
 
+use remap_snap::{SnapError, Visit, Visitor};
+
 /// Result of a thread arriving at a barrier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArriveOutcome {
@@ -19,7 +21,7 @@ pub enum ArriveOutcome {
     MissingThreads(Vec<u32>),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 struct BarrierEntry {
     barrier_id: u32,
     app_id: u32,
@@ -163,64 +165,30 @@ impl BarrierTable {
     pub fn active_barriers(&self) -> usize {
         self.entries.len()
     }
+}
 
-    /// Serializes the table contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.entries.len());
-        for e in &self.entries {
-            w.put_u32(e.barrier_id);
-            w.put_u32(e.app_id);
-            w.put_u32(e.total);
-            w.put_u32(e.arrived);
-            w.put_len(e.cores.len());
-            for &c in &e.cores {
-                w.put_usize(c);
-            }
-            for &t in &e.threads {
-                w.put_u32(t);
-            }
-            for &a in &e.active {
-                w.put_bool(a);
-            }
+/// Cores, threads and arrival flags share one length prefix.
+impl Visit for BarrierEntry {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.u32(&mut self.barrier_id)?;
+        v.u32(&mut self.app_id)?;
+        v.u32(&mut self.total)?;
+        v.u32(&mut self.arrived)?;
+        v.vec(&mut self.cores, 1 << 20)?;
+        if V::READS {
+            self.threads.resize(self.cores.len(), 0);
+            self.active.resize(self.cores.len(), false);
         }
-        w.put_u64(self.releases);
+        v.each(&mut self.threads)?;
+        v.each(&mut self.active)
     }
+}
 
-    /// Restores state written by [`BarrierTable::save_state`] onto a table
-    /// of identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(self.capacity)?;
-        self.entries.clear();
-        for _ in 0..n {
-            let barrier_id = r.get_u32()?;
-            let app_id = r.get_u32()?;
-            let total = r.get_u32()?;
-            let arrived = r.get_u32()?;
-            let k = r.get_len(1 << 20)?;
-            let mut cores = Vec::with_capacity(k);
-            for _ in 0..k {
-                cores.push(r.get_usize()?);
-            }
-            let mut threads = Vec::with_capacity(k);
-            for _ in 0..k {
-                threads.push(r.get_u32()?);
-            }
-            let mut active = Vec::with_capacity(k);
-            for _ in 0..k {
-                active.push(r.get_bool()?);
-            }
-            self.entries.push(BarrierEntry {
-                barrier_id,
-                app_id,
-                total,
-                arrived,
-                cores,
-                threads,
-                active,
-            });
-        }
-        self.releases = r.get_u64()?;
-        Ok(())
+/// Checkpoint support: the table contents.
+impl Visit for BarrierTable {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.vec(&mut self.entries, self.capacity)?;
+        v.u64(&mut self.releases)
     }
 }
 

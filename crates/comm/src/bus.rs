@@ -5,8 +5,10 @@
 //! application ID (16 data lines plus control). The bus serializes messages
 //! and adds a fixed transfer latency.
 
+use remap_snap::{SnapError, Visit, Visitor};
+
 /// One barrier-update message on the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BusMessage {
     /// Barrier ID (8 bits on the wire).
     pub barrier_id: u32,
@@ -95,37 +97,15 @@ impl BarrierBus {
     pub fn next_event(&self) -> Option<u64> {
         self.queue.iter().map(|m| m.deliver_at).min()
     }
+}
 
-    /// Serializes the in-flight messages and arbitration state (checkpoint
-    /// support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.queue.len());
-        for m in &self.queue {
-            w.put_u32(m.barrier_id);
-            w.put_u32(m.app_id);
-            w.put_usize(m.from_cluster);
-            w.put_u64(m.deliver_at);
-        }
-        w.put_u64(self.next_free);
-        w.put_u64(self.messages);
-    }
+remap_snap::visit_fields!(BusMessage: barrier_id, app_id, from_cluster, deliver_at);
 
-    /// Restores state written by [`BarrierBus::save_state`] onto a bus of
-    /// identical latency.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(1 << 20)?;
-        self.queue.clear();
-        for _ in 0..n {
-            self.queue.push(BusMessage {
-                barrier_id: r.get_u32()?,
-                app_id: r.get_u32()?,
-                from_cluster: r.get_usize()?,
-                deliver_at: r.get_u64()?,
-            });
-        }
-        self.next_free = r.get_u64()?;
-        self.messages = r.get_u64()?;
-        Ok(())
+/// Checkpoint support: the in-flight messages and arbitration state.
+impl Visit for BarrierBus {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.vec(&mut self.queue, 1 << 20)?;
+        v.u64s([&mut self.next_free, &mut self.messages])
     }
 }
 

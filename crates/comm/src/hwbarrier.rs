@@ -7,6 +7,7 @@
 //! last arrival. Reusable across barrier instances via generation counters
 //! (sense reversal).
 
+use remap_snap::{SnapError, Visit, Visitor};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, Default)]
@@ -107,71 +108,23 @@ impl HwBarrierNet {
         v.sort_unstable();
         v
     }
+}
 
-    /// Serializes all barrier state, sorted by id for determinism
-    /// (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        let mut ids: Vec<u8> = self.barriers.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_len(ids.len());
-        for id in ids {
-            let b = &self.barriers[&id];
-            w.put_u8(id);
-            w.put_u32(b.total);
-            w.put_u32(b.count);
-            w.put_u64(b.generation);
-            let mut waiting: Vec<(usize, u64)> = b.waiting.iter().map(|(&c, &g)| (c, g)).collect();
-            waiting.sort_unstable();
-            w.put_len(waiting.len());
-            for (core, gen) in waiting {
-                w.put_usize(core);
-                w.put_u64(gen);
-            }
-        }
-        w.put_u64(self.completions);
+impl Visit for BarState {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.u32(&mut self.total)?;
+        v.u32(&mut self.count)?;
+        v.u64(&mut self.generation)?;
+        v.map(&mut self.waiting, 1 << 20)
     }
+}
 
-    /// Restores state written by [`HwBarrierNet::save_state`], replacing any
-    /// existing configuration.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(256)?;
-        self.barriers.clear();
-        for _ in 0..n {
-            let id = r.get_u8()?;
-            let total = r.get_u32()?;
-            let count = r.get_u32()?;
-            let generation = r.get_u64()?;
-            let k = r.get_len(1 << 20)?;
-            let mut waiting = HashMap::new();
-            for _ in 0..k {
-                let core = r.get_usize()?;
-                let gen = r.get_u64()?;
-                if waiting.insert(core, gen).is_some() {
-                    return Err(remap_snap::SnapError::Corrupt(format!(
-                        "duplicate waiter core {core} on barrier {id}"
-                    )));
-                }
-            }
-            if self
-                .barriers
-                .insert(
-                    id,
-                    BarState {
-                        total,
-                        count,
-                        generation,
-                        waiting,
-                    },
-                )
-                .is_some()
-            {
-                return Err(remap_snap::SnapError::Corrupt(format!(
-                    "duplicate barrier id {id}"
-                )));
-            }
-        }
-        self.completions = r.get_u64()?;
-        Ok(())
+/// Checkpoint support: all barrier state, in id order; decoding replaces
+/// any existing configuration.
+impl Visit for HwBarrierNet {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.map(&mut self.barriers, 256)?;
+        v.u64(&mut self.completions)
     }
 }
 

@@ -6,6 +6,8 @@
 //! cost*. We model it as a set of deep FIFO queues of 64-bit values with
 //! single-cycle access; the core model charges the (1-cycle) access latency.
 
+use remap_snap::{SnapError, Visit, Visitor};
+
 /// A bank of idealized hardware FIFO queues.
 #[derive(Debug, Clone)]
 pub struct HwQueueNet {
@@ -69,32 +71,16 @@ impl HwQueueNet {
     pub fn is_full(&self, q: usize) -> bool {
         self.queues[q].len() >= self.capacity
     }
+}
 
-    /// Serializes all queue contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.queues.len());
-        for q in &self.queues {
-            w.put_len(q.len());
-            for &v in q {
-                w.put_u64(v);
-            }
-        }
-        w.put_u64(self.transfers);
-    }
-
-    /// Restores state written by [`HwQueueNet::save_state`] onto a network
-    /// of identical geometry.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.queues.len())?;
+/// Checkpoint support: every queue's contents.
+impl Visit for HwQueueNet {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact_len(self.queues.len())?;
         for q in &mut self.queues {
-            let n = r.get_len(self.capacity)?;
-            q.clear();
-            for _ in 0..n {
-                q.push(r.get_u64()?);
-            }
+            v.vec(q, self.capacity)?;
         }
-        self.transfers = r.get_u64()?;
-        Ok(())
+        v.u64(&mut self.transfers)
     }
 }
 

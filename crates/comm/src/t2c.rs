@@ -1,5 +1,6 @@
 //! The Thread-to-Core table (§II-B.1 of the paper).
 
+use remap_snap::{SnapError, Visit, Visitor};
 use std::error::Error;
 use std::fmt;
 
@@ -24,7 +25,7 @@ impl fmt::Display for T2cError {
 
 impl Error for T2cError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct T2cEntry {
     thread: u32,
     app: u32,
@@ -178,45 +179,22 @@ impl ThreadToCoreTable {
     pub fn has_capacity(&self, core: usize) -> bool {
         matches!(&self.entries[core], Some(e) if e.in_flight < self.max_in_flight)
     }
+}
 
-    /// Serializes the bindings (checkpoint support). The reverse index is
-    /// derived and is rebuilt on load.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.entries.len());
-        for e in &self.entries {
-            match e {
-                None => w.put_bool(false),
-                Some(e) => {
-                    w.put_bool(true);
-                    w.put_u32(e.thread);
-                    w.put_u32(e.app);
-                    w.put_u8(e.in_flight);
+remap_snap::visit_fields!(T2cEntry: thread, app, in_flight);
+
+/// Checkpoint support: the bindings. The reverse index is derived and is
+/// rebuilt on load.
+impl Visit for ThreadToCoreTable {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact(&mut self.entries)?;
+        if V::READS {
+            self.by_thread.clear();
+            for (core, e) in self.entries.iter().enumerate().take(64) {
+                if let Some(e) = e {
+                    *self.by_thread.entry(e.thread).or_insert(0) |= 1u64 << core;
                 }
             }
-        }
-    }
-
-    /// Restores state written by [`ThreadToCoreTable::save_state`] onto a
-    /// table of identical core count, rebuilding the reverse index.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.entries.len())?;
-        self.by_thread.clear();
-        for core in 0..self.entries.len() {
-            self.entries[core] = if r.get_bool()? {
-                let thread = r.get_u32()?;
-                let app = r.get_u32()?;
-                let in_flight = r.get_u8()?;
-                if core < 64 {
-                    *self.by_thread.entry(thread).or_insert(0) |= 1u64 << core;
-                }
-                Some(T2cEntry {
-                    thread,
-                    app,
-                    in_flight,
-                })
-            } else {
-                None
-            };
         }
         Ok(())
     }

@@ -42,11 +42,12 @@ impl Snapshot {
         }
     }
 
-    /// Validates frame structure (magic, version, length, checksum) and
-    /// returns the payload. The caller supplies the fingerprint it expects;
-    /// a mismatch is refused as [`SnapError::BadFingerprint`].
-    pub(crate) fn payload(&self, expected_fingerprint: u64) -> Result<&[u8], SnapError> {
-        remap_snap::decode_file(&self.bytes, expected_fingerprint)
+    /// The payload, read in place. Every `Snapshot` holds a validated
+    /// frame: it is built either by framing a payload or by
+    /// [`Snapshot::from_bytes`], which checks magic, version, length and
+    /// checksum once, where the bytes come in.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.bytes[remap_snap::HEADER_LEN..self.bytes.len() - remap_snap::TRAILER_LEN]
     }
 
     /// The snapshot's configuration fingerprint as recorded in its header.
@@ -71,7 +72,7 @@ impl Snapshot {
         let fp = snap
             .fingerprint()
             .ok_or_else(|| bad(SnapError::Truncated))?;
-        snap.payload(fp).map_err(bad)?;
+        remap_snap::decode_file(&snap.bytes, fp).map_err(bad)?;
         Ok(snap)
     }
 

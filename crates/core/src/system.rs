@@ -11,11 +11,11 @@ use remap_fault::{FaultPlan, FaultReport, Roller, SiteCfg, SiteCounters, SITE_BA
 use remap_isa::{Program, Reg};
 use remap_mem::{CacheFault, FlatMem, Hierarchy, HierarchyConfig};
 use remap_power::{CoreKind, EnergyBreakdown, PowerModel};
-use remap_snap::{Reader, SnapError, Writer};
+use remap_snap::{Hasher, Reader, SnapError, Visit, Visitor, Writer};
 use remap_spl::{
     Dest, FunctionKind, RequestError, Spl, SplConfig, SplFault, SplFunction, SplStats,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The SPL runs at one quarter of the core clock (500 MHz vs 2 GHz).
 pub const SPL_CLOCK_DIVISOR: u64 = 4;
@@ -36,6 +36,7 @@ struct SplCluster {
     cores: Vec<usize>,
 }
 
+#[derive(Default)]
 struct PendingRelease {
     cfg: u16,
     cluster: usize,
@@ -131,135 +132,68 @@ impl FaultCtl {
         }
         self.next_wake = wake;
     }
+}
 
-    /// Serializes the dynamic fault-control state (checkpoint support). The
-    /// plan-derived configuration fields are not written: restore rebuilds
-    /// the struct from the serialized [`FaultPlan`] first, then overlays
-    /// this state.
-    fn save_state(&self, w: &mut Writer) {
-        w.put_u64(self.hwq.roller.event());
-        save_counters(&self.hwq.counters, w);
-        w.put_u64(self.hwq.retries);
-        w.put_len(self.hwq.blocked_until.len());
-        for &b in &self.hwq.blocked_until {
-            w.put_u64(b);
-        }
-        for &a in &self.hwq.attempts {
-            w.put_u32(a);
-        }
-        w.put_u64(self.bar.roller.event());
-        save_counters(&self.bar.counters, w);
-        w.put_u64(self.bar.demotions);
-        w.put_len(self.bar.demoted.len());
-        for &c in &self.bar.demoted {
-            w.put_u16(c);
-        }
-        w.put_u64(self.next_wake);
-    }
-
-    /// Restores state written by [`FaultCtl::save_state`] over a freshly
-    /// rebuilt plan.
-    fn load_state(&mut self, r: &mut Reader) -> Result<(), SnapError> {
-        let event = r.get_u64()?;
-        self.hwq.roller.set_event(event);
-        load_counters(&mut self.hwq.counters, r)?;
-        self.hwq.retries = r.get_u64()?;
-        r.get_exact_len(self.hwq.blocked_until.len())?;
-        for b in &mut self.hwq.blocked_until {
-            *b = r.get_u64()?;
-        }
-        for a in &mut self.hwq.attempts {
-            *a = r.get_u32()?;
-        }
-        let event = r.get_u64()?;
-        self.bar.roller.set_event(event);
-        load_counters(&mut self.bar.counters, r)?;
-        self.bar.demotions = r.get_u64()?;
-        let n = r.get_len(u16::MAX as usize)?;
-        self.bar.demoted.clear();
-        for _ in 0..n {
-            self.bar.demoted.push(r.get_u16()?);
-        }
-        self.next_wake = r.get_u64()?;
-        Ok(())
+/// Checkpoint support: the dynamic fault-control state. The plan-derived
+/// configuration fields are not visited: restore rebuilds the struct from
+/// the visited [`FaultPlan`] first, then overlays this state.
+impl Visit for FaultCtl {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let (hwq, bar) = (&mut self.hwq, &mut self.bar);
+        visit_stream(&mut hwq.roller, &mut hwq.counters, v)?;
+        v.u64(&mut hwq.retries)?;
+        v.exact(&mut hwq.blocked_until)?;
+        v.each(&mut hwq.attempts)?;
+        visit_stream(&mut bar.roller, &mut bar.counters, v)?;
+        v.u64(&mut bar.demotions)?;
+        v.vec(&mut bar.demoted, u16::MAX as usize)?;
+        v.u64(&mut self.next_wake)
     }
 }
 
-fn save_counters(c: &SiteCounters, w: &mut Writer) {
-    w.put_u64(c.injected);
-    w.put_u64(c.detected);
-    w.put_u64(c.recovered);
-    w.put_u64(c.silent);
+/// A fault stream's position and accounting.
+fn visit_stream<V: Visitor>(
+    roller: &mut Roller,
+    c: &mut SiteCounters,
+    v: &mut V,
+) -> Result<(), SnapError> {
+    v.u64s([
+        roller.event_mut(),
+        &mut c.injected,
+        &mut c.detected,
+        &mut c.recovered,
+        &mut c.silent,
+    ])
 }
 
-fn load_counters(c: &mut SiteCounters, r: &mut Reader) -> Result<(), SnapError> {
-    c.injected = r.get_u64()?;
-    c.detected = r.get_u64()?;
-    c.recovered = r.get_u64()?;
-    c.silent = r.get_u64()?;
-    Ok(())
+fn visit_site<V: Visitor>(s: &mut SiteCfg, v: &mut V) -> Result<(), SnapError> {
+    v.u32(&mut s.rate_ppm)?;
+    v.u64s([&mut s.from_event, &mut s.until_event])
 }
 
-fn save_site(s: &SiteCfg, w: &mut Writer) {
-    w.put_u32(s.rate_ppm);
-    w.put_u64(s.from_event);
-    w.put_u64(s.until_event);
-}
-
-fn load_site(r: &mut Reader) -> Result<SiteCfg, SnapError> {
-    Ok(SiteCfg {
-        rate_ppm: r.get_u32()?,
-        from_event: r.get_u64()?,
-        until_event: r.get_u64()?,
-    })
-}
-
-/// Serializes a [`FaultPlan`] so restore can rebuild the seeded fault
-/// streams on a fresh system before overlaying their dynamic state.
-fn save_fault_plan(p: &FaultPlan, w: &mut Writer) {
-    w.put_u64(p.seed);
-    save_site(&p.spl_bitflip, w);
-    w.put_bool(p.spl_parity);
-    w.put_u64(p.spl_replay_ticks);
-    save_site(&p.hwq_drop, w);
-    save_site(&p.hwq_dup, w);
-    save_site(&p.hwq_delay, w);
-    w.put_bool(p.hwq_seqno);
-    w.put_u64(p.hwq_ack_timeout);
-    w.put_u64(p.hwq_backoff_base);
-    w.put_u32(p.hwq_max_attempts);
-    w.put_u64(p.hwq_delay_cycles);
-    save_site(&p.barrier_delay, w);
-    w.put_u64(p.barrier_delay_cycles);
-    w.put_u64(p.barrier_watchdog);
-    w.put_u64(p.barrier_sw_cost);
-    save_site(&p.cache_corrupt, w);
-    w.put_bool(p.cache_parity);
-    w.put_u32(p.cache_scrub_cycles);
-}
-
-fn load_fault_plan(r: &mut Reader) -> Result<FaultPlan, SnapError> {
-    Ok(FaultPlan {
-        seed: r.get_u64()?,
-        spl_bitflip: load_site(r)?,
-        spl_parity: r.get_bool()?,
-        spl_replay_ticks: r.get_u64()?,
-        hwq_drop: load_site(r)?,
-        hwq_dup: load_site(r)?,
-        hwq_delay: load_site(r)?,
-        hwq_seqno: r.get_bool()?,
-        hwq_ack_timeout: r.get_u64()?,
-        hwq_backoff_base: r.get_u64()?,
-        hwq_max_attempts: r.get_u32()?,
-        hwq_delay_cycles: r.get_u64()?,
-        barrier_delay: load_site(r)?,
-        barrier_delay_cycles: r.get_u64()?,
-        barrier_watchdog: r.get_u64()?,
-        barrier_sw_cost: r.get_u64()?,
-        cache_corrupt: load_site(r)?,
-        cache_parity: r.get_bool()?,
-        cache_scrub_cycles: r.get_u32()?,
-    })
+/// The fault plan travels in the payload so restore can rebuild the seeded
+/// fault streams on a fresh system before overlaying their dynamic state.
+fn visit_plan<V: Visitor>(p: &mut FaultPlan, v: &mut V) -> Result<(), SnapError> {
+    v.u64(&mut p.seed)?;
+    visit_site(&mut p.spl_bitflip, v)?;
+    v.bool(&mut p.spl_parity)?;
+    v.u64(&mut p.spl_replay_ticks)?;
+    visit_site(&mut p.hwq_drop, v)?;
+    visit_site(&mut p.hwq_dup, v)?;
+    visit_site(&mut p.hwq_delay, v)?;
+    v.bool(&mut p.hwq_seqno)?;
+    v.u64s([&mut p.hwq_ack_timeout, &mut p.hwq_backoff_base])?;
+    v.u32(&mut p.hwq_max_attempts)?;
+    v.u64(&mut p.hwq_delay_cycles)?;
+    visit_site(&mut p.barrier_delay, v)?;
+    v.u64s([
+        &mut p.barrier_delay_cycles,
+        &mut p.barrier_watchdog,
+        &mut p.barrier_sw_cost,
+    ])?;
+    visit_site(&mut p.cache_corrupt, v)?;
+    v.bool(&mut p.cache_parity)?;
+    v.u32(&mut p.cache_scrub_cycles)
 }
 
 /// Records the first structured error of a run; later errors are dropped
@@ -717,7 +651,9 @@ impl Env {
                 }
                 // Group participants by cluster; the last arrival's cluster
                 // releases immediately, remote clusters after the bus delay.
-                let mut by_cluster: HashMap<usize, Vec<usize>> = HashMap::new();
+                // Cluster order keeps the pending list (and so the snapshot
+                // payload) independent of hash seeds.
+                let mut by_cluster: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
                 for c in cores {
                     let Some((ci, local)) = self.core_cluster[c] else {
                         record(
@@ -1727,10 +1663,14 @@ impl System {
         }
         for (ci, cl) in self.env.clusters.iter().enumerate() {
             let _ = write!(s, "cluster{ci}:{:?}:{:?};", cl.spl.config(), cl.cores);
-            let mut fns: Vec<(u16, &SplFunction)> = cl.spl.functions().collect();
-            fns.sort_by_key(|&(id, _)| id);
-            for (id, f) in fns {
-                let _ = write!(s, "fn{id}:{}:{}:{};", f.name(), f.rows(), f.is_barrier());
+            for (id, f) in cl.spl.functions() {
+                let _ = write!(s, "fn{id}:{}:{}:{}", f.name(), f.rows(), f.is_barrier());
+                // Row registers travel in the payload, so they are part of
+                // its layout (stateless functions keep the original text).
+                if f.n_regs() > 0 {
+                    let _ = write!(s, ":regs{}", f.n_regs());
+                }
+                s.push(';');
             }
         }
         let _ = write!(
@@ -1751,90 +1691,24 @@ impl System {
             self.env.hier.mlp_enabled(),
             self.env.hier.dir_enabled()
         );
-        let mut h = remap_snap::Fnv::new();
-        h.update(s.as_bytes());
-        h.finish()
+        remap_snap::fnv1a(s.as_bytes())
     }
 
     /// Captures the complete dynamic state of the run — every core's
     /// pipeline, the cache hierarchy down to LRU order and MSHR slots, the
     /// SPL fabrics with their in-flight rows, all communication tables, the
     /// fault streams, the skip-engine bookkeeping, and every statistics
-    /// counter — as a versioned, checksummed [`Snapshot`].
+    /// counter — as a versioned, checksummed [`Snapshot`]. Takes `&mut self`
+    /// only because one visitor walk serves encoding and decoding; encoding
+    /// leaves the state untouched.
     ///
     /// Restoring it into a freshly built system of identical configuration
     /// ([`System::restore`]) continues the run bit-identically: same
     /// results, same cycle counts, same statistics, same fault sequence.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut w = Writer::new();
-        // The fault plan travels first: restore rebuilds the seeded streams
-        // from it before overlaying their dynamic state.
-        match &self.fault_plan {
-            None => w.put_bool(false),
-            Some(p) => {
-                w.put_bool(true);
-                save_fault_plan(p, &mut w);
-            }
-        }
-        w.put_u64(self.env.cycle);
-        w.put_u64(self.env.epoch);
-        w.put_u32(self.env.app_id);
-        w.put_u64(self.committed_total);
-        w.put_u64(self.skipped_cycles);
-        w.put_usize(self.probe_hint);
-        w.put_len(self.running.len());
-        for &id in &self.running {
-            w.put_usize(id);
-        }
-        for &c in &self.last_committed {
-            w.put_u64(c);
-        }
-        for &c in &self.last_commit_cycle {
-            w.put_u64(c);
-        }
-        for &(ep, wake) in &self.core_quiet {
-            w.put_u64(ep);
-            w.put_u64(wake);
-        }
-        for &st in &self.core_streak {
-            w.put_u32(st);
-        }
-        for &p in &self.core_next_probe {
-            w.put_u64(p);
-        }
-        for c in &self.cores {
-            c.save_state(&mut w);
-        }
-        for &t in &self.env.core_thread {
-            w.put_u32(t);
-        }
-        self.env.t2c.save_state(&mut w);
-        self.env.btable.save_state(&mut w);
-        self.env.hwq.save_state(&mut w);
-        self.env.hwbar.save_state(&mut w);
-        self.env.bus.save_state(&mut w);
-        w.put_len(self.env.pending_releases.len());
-        for p in &self.env.pending_releases {
-            w.put_u16(p.cfg);
-            w.put_usize(p.cluster);
-            w.put_u64(p.at);
-            w.put_len(p.local_cores.len());
-            for &lc in &p.local_cores {
-                w.put_usize(lc);
-            }
-        }
-        w.put_len(self.env.clusters.len());
-        for cl in &self.env.clusters {
-            cl.spl.save_state(&mut w);
-        }
-        self.env.hier.save_state(&mut w);
-        match self.env.fault.as_deref() {
-            None => w.put_bool(false),
-            Some(f) => {
-                w.put_bool(true);
-                f.save_state(&mut w);
-            }
-        }
+    pub fn snapshot(&mut self) -> Snapshot {
+        let mut w = Writer::default();
+        // Encoding cannot fail: every check in the visitor is decode-only.
+        let _ = self.visit(&mut w);
         Snapshot::from_payload(self.config_fingerprint(), &w.into_vec())
     }
 
@@ -1845,132 +1719,123 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`RunError::BadSnapshot`] when the snapshot is torn, of a foreign
-    /// format version or configuration fingerprint, or its payload is
-    /// inconsistent with this system's geometry. On error the system may be
+    /// [`RunError::BadSnapshot`] when the snapshot was taken under a
+    /// foreign configuration fingerprint, or its payload is inconsistent
+    /// with this system's geometry. (Torn frames and foreign format
+    /// versions never become a [`Snapshot`].) On error the system may be
     /// partially overwritten and must not be run further — rebuild it.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), RunError> {
-        let expected = self.config_fingerprint();
-        let payload = snap
-            .payload(expected)
-            .map_err(|e| RunError::BadSnapshot {
-                reason: e.to_string(),
-            })?
-            .to_vec();
-        let mut r = Reader::new(&payload);
-        self.load_state(&mut r)
-            .and_then(|()| {
-                if r.is_done() {
-                    Ok(())
-                } else {
-                    Err(SnapError::Corrupt(format!(
-                        "{} trailing payload bytes",
-                        r.remaining()
-                    )))
-                }
-            })
-            .map_err(|e| RunError::BadSnapshot {
-                reason: e.to_string(),
-            })
-    }
-
-    fn load_state(&mut self, r: &mut Reader) -> Result<(), SnapError> {
-        let n = self.cores.len();
-        if r.get_bool()? {
-            let plan = load_fault_plan(r)?;
-            self.set_fault_plan(&plan);
-        } else {
-            self.clear_fault_plan();
+        let bad = |e: SnapError| RunError::BadSnapshot {
+            reason: e.to_string(),
+        };
+        let (expected, found) = (self.config_fingerprint(), snap.fingerprint());
+        if found != Some(expected) {
+            let found = found.unwrap_or(0);
+            return Err(bad(SnapError::BadFingerprint { expected, found }));
         }
-        self.env.cycle = r.get_u64()?;
-        self.env.epoch = r.get_u64()?;
-        self.env.app_id = r.get_u32()?;
-        self.committed_total = r.get_u64()?;
-        self.skipped_cycles = r.get_u64()?;
-        self.probe_hint = r.get_usize()?;
-        if self.probe_hint >= n.max(1) {
-            return Err(SnapError::Corrupt(format!(
-                "probe hint {} out of range",
-                self.probe_hint
-            )));
-        }
-        let n_running = r.get_len(n)?;
-        self.running.clear();
-        let mut seen = vec![false; n];
-        for _ in 0..n_running {
-            let id = r.get_usize()?;
-            if id >= n || seen[id] {
-                return Err(SnapError::Corrupt(format!("bad running core id {id}")));
-            }
-            seen[id] = true;
-            self.running.push(id);
-        }
-        for c in &mut self.last_committed {
-            *c = r.get_u64()?;
-        }
-        for c in &mut self.last_commit_cycle {
-            *c = r.get_u64()?;
-        }
-        for q in &mut self.core_quiet {
-            *q = (r.get_u64()?, r.get_u64()?);
-        }
-        for st in &mut self.core_streak {
-            *st = r.get_u32()?;
-        }
-        for p in &mut self.core_next_probe {
-            *p = r.get_u64()?;
-        }
-        for c in &mut self.cores {
-            c.load_state(r)?;
-        }
-        for t in &mut self.env.core_thread {
-            *t = r.get_u32()?;
-        }
-        self.env.t2c.load_state(r)?;
-        self.env.btable.load_state(r)?;
-        self.env.hwq.load_state(r)?;
-        self.env.hwbar.load_state(r)?;
-        self.env.bus.load_state(r)?;
-        let n_rel = r.get_len(1 << 16)?;
-        self.env.pending_releases.clear();
-        for _ in 0..n_rel {
-            let cfg = r.get_u16()?;
-            let cluster = r.get_usize()?;
-            let at = r.get_u64()?;
-            if cluster >= self.env.clusters.len() {
-                return Err(SnapError::Corrupt(format!(
-                    "pending release on cluster {cluster} of {}",
-                    self.env.clusters.len()
-                )));
-            }
-            let k = r.get_len(n)?;
-            let mut local_cores = Vec::with_capacity(k);
-            for _ in 0..k {
-                local_cores.push(r.get_usize()?);
-            }
-            self.env.pending_releases.push(PendingRelease {
-                cfg,
-                cluster,
-                at,
-                local_cores,
-            });
-        }
-        r.get_exact_len(self.env.clusters.len())?;
-        for cl in &mut self.env.clusters {
-            cl.spl.load_state(r)?;
-        }
-        self.env.hier.load_state(r)?;
-        match (r.get_bool()?, self.env.fault.as_deref_mut()) {
-            (true, Some(f)) => f.load_state(r)?,
-            (false, None) => {}
-            _ => return Err(SnapError::Corrupt("fault-control presence mismatch".into())),
-        }
+        let mut r = Reader::new(snap.payload());
+        self.visit(&mut r).and_then(|()| r.finish()).map_err(bad)?;
         // Transients: the delivery scratch buffer is cleared each SPL edge
         // and a structured error never survives into a snapshot (run()
         // takes it before the checkpoint hook sees the state).
         self.spl_events.clear();
         self.env.run_error = None;
         Ok(())
+    }
+
+    /// One named FNV-1a hash per component of the dynamic state, in
+    /// payload order: `fault` (plan and fault control), `run` (cycle,
+    /// epoch, committed totals, running set), `skip` (skip-engine
+    /// bookkeeping), `core {i}` (pipeline, predictor, statistics), `comm`
+    /// (thread bindings, barrier tables, queues, bus, pending releases),
+    /// `spl {j}` (per fabric), and `hierarchy` (caches, memory, MLP,
+    /// directory). Each hash covers exactly that component's snapshot
+    /// payload bytes, so a divergence names the component it starts in.
+    /// Takes `&mut self` for the same reason as [`System::snapshot`].
+    pub fn state_digest(&mut self) -> Vec<(String, u64)> {
+        let mut h = Hasher::default();
+        // Hashing cannot fail: every check in the visitor is decode-only.
+        let _ = self.visit(&mut h);
+        h.finish()
+    }
+
+    /// Visits the complete dynamic state in payload order. The
+    /// [`Visitor::part`] calls name the [`System::state_digest`]
+    /// components, which partition the payload.
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let n = self.cores.len();
+        // The fault plan travels first: restore rebuilds the seeded streams
+        // from it before overlaying their dynamic state.
+        v.part(|| "fault".into());
+        let mut has_plan = self.fault_plan.is_some();
+        v.bool(&mut has_plan)?;
+        if has_plan {
+            let mut plan = self.fault_plan.unwrap_or(FaultPlan::quiet(0));
+            visit_plan(&mut plan, v)?;
+            if V::READS {
+                self.set_fault_plan(&plan);
+            }
+        } else if V::READS {
+            self.clear_fault_plan();
+        }
+        v.part(|| "run".into());
+        v.u64s([&mut self.env.cycle, &mut self.env.epoch])?;
+        v.u32(&mut self.env.app_id)?;
+        v.u64(&mut self.committed_total)?;
+        v.part(|| "skip".into());
+        v.u64(&mut self.skipped_cycles)?;
+        v.index(&mut self.probe_hint, n.max(1))?;
+        v.part(|| "run".into());
+        v.seq(&mut self.running, n, |v, id| v.index(id, n))?;
+        if V::READS {
+            let mut seen = vec![false; n];
+            if let Some(id) = self
+                .running
+                .iter()
+                .find(|&&id| std::mem::replace(&mut seen[id], true))
+            {
+                return Err(SnapError::Corrupt(format!("core {id} running twice")));
+            }
+        }
+        v.each(&mut self.last_committed)?;
+        v.each(&mut self.last_commit_cycle)?;
+        v.part(|| "skip".into());
+        v.each(&mut self.core_quiet)?;
+        v.each(&mut self.core_streak)?;
+        v.each(&mut self.core_next_probe)?;
+        for (i, c) in self.cores.iter_mut().enumerate() {
+            v.part(|| format!("core {i}"));
+            c.visit(v)?;
+        }
+        v.part(|| "comm".into());
+        let env = &mut self.env;
+        v.each(&mut env.core_thread)?;
+        env.t2c.visit(v)?;
+        env.btable.visit(v)?;
+        env.hwq.visit(v)?;
+        env.hwbar.visit(v)?;
+        env.bus.visit(v)?;
+        let clusters = &env.clusters;
+        v.seq(&mut env.pending_releases, 1 << 16, |v, p| {
+            v.u16(&mut p.cfg)?;
+            v.index(&mut p.cluster, clusters.len())?;
+            v.u64(&mut p.at)?;
+            let local = clusters.get(p.cluster).map_or(0, |cl| cl.cores.len());
+            v.seq(&mut p.local_cores, n, |v, c| v.index(c, local))?;
+            if V::READS && p.local_cores.is_empty() {
+                return Err(SnapError::Corrupt("release without participants".into()));
+            }
+            Ok(())
+        })?;
+        v.exact_len(env.clusters.len())?;
+        for (j, cl) in env.clusters.iter_mut().enumerate() {
+            v.part(|| format!("spl {j}"));
+            cl.spl.visit(v)?;
+        }
+        v.part(|| "hierarchy".into());
+        env.hier.visit(v)?;
+        v.part(|| "fault".into());
+        v.present("fault-control", env.fault.as_deref_mut())
     }
 }
 
@@ -2363,6 +2228,39 @@ mod tests {
                     reason.contains("different configuration"),
                     "unexpected reason: {reason}"
                 );
+            }
+            other => panic!("expected BadSnapshot, got {other:?}"),
+        }
+    }
+
+    /// A checksum-valid snapshot whose in-flight SPL operation names a
+    /// destination core outside the fabric is refused at restore, before
+    /// the fabric tick could index an output queue with it.
+    #[test]
+    fn out_of_range_spl_destination_is_refused() {
+        // pc_build's in-flight compute op: destination tag `One`, local
+        // destination 1, from 0, cfg 1, not a barrier, 5 rows.
+        let mut op = vec![0u8];
+        op.extend(1u64.to_le_bytes());
+        op.extend(0u64.to_le_bytes());
+        op.extend(1u16.to_le_bytes());
+        op.push(0);
+        op.extend(5u32.to_le_bytes());
+        let mut donor = pc_build();
+        let (snap, at) = (1..5_000)
+            .find_map(|c| {
+                donor.run_until(c);
+                let snap = donor.snapshot();
+                let at = snap.payload().windows(op.len()).position(|w| w == op)?;
+                Some((snap, at))
+            })
+            .expect("an SPL operation is in flight at some cycle");
+        let mut payload = snap.payload().to_vec();
+        payload[at + 1..at + 9].copy_from_slice(&7u64.to_le_bytes());
+        let bad = Snapshot::from_payload(snap.fingerprint().unwrap(), &payload);
+        match pc_build().restore(&bad) {
+            Err(RunError::BadSnapshot { reason }) => {
+                assert!(reason.contains("index 7 out of range"), "{reason}")
             }
             other => panic!("expected BadSnapshot, got {other:?}"),
         }

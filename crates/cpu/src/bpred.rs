@@ -1,8 +1,10 @@
 //! Hybrid gshare + bimodal branch predictor with BTB and return-address
 //! stack, per Table II of the paper.
 
+use remap_snap::{SnapError, Visit, Visitor};
+
 /// Prediction returned by [`Predictor::predict`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Prediction {
     /// Predicted direction for conditional branches (always `true` for
     /// unconditional jumps).
@@ -27,6 +29,8 @@ pub struct PredStats {
     /// RAS pushes + pops.
     pub ras_ops: u64,
 }
+
+remap_snap::visit_fields!(PredStats: lookups, dir_mispredicts, target_mispredicts, ras_ops);
 
 fn counter_update(c: &mut u8, taken: bool) {
     if taken {
@@ -170,73 +174,22 @@ impl Predictor {
         self.stats.ras_ops += 1;
         self.ras.pop()
     }
+}
 
-    /// Serializes all predictor state (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.gshare.len());
-        for &c in &self.gshare {
-            w.put_u8(c);
-        }
-        for &c in &self.bimodal {
-            w.put_u8(c);
-        }
-        for &c in &self.chooser {
-            w.put_u8(c);
-        }
-        w.put_u32(self.history);
-        w.put_len(self.btb.len());
-        for e in &self.btb {
-            match e {
-                None => w.put_bool(false),
-                Some((pc, tgt)) => {
-                    w.put_bool(true);
-                    w.put_u32(*pc);
-                    w.put_u32(*tgt);
-                }
-            }
-        }
-        w.put_len(self.ras.len());
-        for &a in &self.ras {
-            w.put_u32(a);
-        }
-        w.put_u64(self.stats.lookups);
-        w.put_u64(self.stats.dir_mispredicts);
-        w.put_u64(self.stats.target_mispredicts);
-        w.put_u64(self.stats.ras_ops);
-    }
+remap_snap::visit_fields!(Prediction: taken, target, history);
 
-    /// Restores state written by [`Predictor::save_state`] onto a
-    /// predictor of identical geometry.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.gshare.len())?;
-        for c in &mut self.gshare {
-            *c = r.get_u8()?;
-        }
-        for c in &mut self.bimodal {
-            *c = r.get_u8()?;
-        }
-        for c in &mut self.chooser {
-            *c = r.get_u8()?;
-        }
-        self.history = r.get_u32()?;
-        r.get_exact_len(self.btb.len())?;
-        for e in &mut self.btb {
-            *e = if r.get_bool()? {
-                Some((r.get_u32()?, r.get_u32()?))
-            } else {
-                None
-            };
-        }
-        let n = r.get_len(self.ras_max)?;
-        self.ras.clear();
-        for _ in 0..n {
-            self.ras.push(r.get_u32()?);
-        }
-        self.stats.lookups = r.get_u64()?;
-        self.stats.dir_mispredicts = r.get_u64()?;
-        self.stats.target_mispredicts = r.get_u64()?;
-        self.stats.ras_ops = r.get_u64()?;
-        Ok(())
+/// Checkpoint support: all predictor state. The counter tables travel as
+/// raw bytes.
+impl Visit for Predictor {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact_len(self.gshare.len())?;
+        v.bytes(&mut self.gshare)?;
+        v.bytes(&mut self.bimodal)?;
+        v.bytes(&mut self.chooser)?;
+        v.u32(&mut self.history)?;
+        v.exact(&mut self.btb)?;
+        v.vec(&mut self.ras, self.ras_max)?;
+        self.stats.visit(v)
     }
 }
 

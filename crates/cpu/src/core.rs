@@ -26,6 +26,7 @@ use crate::config::CoreConfig;
 use crate::ports::{CorePorts, PortPush};
 use crate::stats::{class_index, CoreStats};
 use remap_isa::{Inst, InstClass, Program, Reg};
+use remap_snap::{SnapError, Visit, Visitor};
 use std::collections::VecDeque;
 
 /// Byte address where code is mapped for I-cache indexing; keeps code
@@ -38,10 +39,11 @@ enum Src {
     Wait(u64),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// Waiting for operands / functional unit (or for the ROB head, for
     /// at-head-only operations).
+    #[default]
     Waiting,
     /// In a functional unit; completes at the contained cycle.
     Executing(u64),
@@ -60,7 +62,7 @@ mod tag {
     pub const IQ: u8 = 0b100;
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 struct RobEntry {
     seq: u64,
     pc: u32,
@@ -176,7 +178,7 @@ impl std::fmt::Display for BlockedOn {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 struct Fetched {
     pc: u32,
     inst: Inst,
@@ -184,7 +186,7 @@ struct Fetched {
     pred_next: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 struct StoreBufEntry {
     addr: u64,
     size: u8,
@@ -1667,347 +1669,112 @@ impl Core {
             other => unreachable!("not an at-head op: {other}"),
         }
     }
+}
 
-    // --- checkpoint support -------------------------------------------------
-
-    /// Serializes all dynamic core state. Instruction words are never
-    /// written: every `inst` is re-derived from its `pc` against the
-    /// (static) program on load, which keeps the snapshot compact and makes
-    /// program/snapshot mismatches surface as decode failures.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        self.pred.save_state(w);
-        for &v in &self.regs {
-            w.put_i64(v);
-        }
-        for m in &self.map {
-            put_opt_u64(w, *m);
-        }
-        w.put_len(self.rob.len());
-        for e in &self.rob {
-            save_rob_entry(w, e);
-        }
-        // Walk tags are derivable but cheap; serializing them directly
-        // avoids re-encoding the status/in_iq mapping in two places.
-        for &t in &self.rob_tags {
-            w.put_u8(t);
-        }
-        w.put_usize(self.iq_occ.0);
-        w.put_usize(self.iq_occ.1);
-        w.put_len(self.fetch_buf.len());
-        for f in &self.fetch_buf {
-            save_fetched(w, f);
-        }
-        w.put_u32(self.fetch_pc);
-        put_opt_u64(w, self.fetch_inflight_at);
-        w.put_len(self.fetch_group.len());
-        for f in &self.fetch_group {
-            save_fetched(w, f);
-        }
-        w.put_bool(self.fetch_blocked);
-        w.put_u64(self.fetch_bubble_until);
-        w.put_len(self.store_buf.len());
-        for s in &self.store_buf {
-            w.put_u64(s.addr);
-            w.put_u8(s.size);
-            w.put_u64(s.value);
-        }
-        w.put_u64(self.store_drain_done);
-        w.put_u64(self.int_div_free_at);
-        w.put_u64(self.fp_div_free_at);
-        w.put_bool(self.halted);
-        w.put_u64(self.cycle);
-        w.put_u64(self.next_seq);
-        w.put_len(self.mem_seqs.len());
-        for &s in &self.mem_seqs {
-            w.put_u64(s);
-        }
-        w.put_len(self.exec_seqs.len());
-        for &s in &self.exec_seqs {
-            w.put_u64(s);
-        }
-        w.put_u64(self.exec_next_done);
-        let st = &self.stats;
-        w.put_u64(st.cycles);
-        w.put_u64(st.committed);
-        for &c in &st.committed_by_class {
-            w.put_u64(c);
-        }
-        w.put_u64(st.fetched);
-        w.put_u64(st.dispatched);
-        w.put_u64(st.issued);
-        w.put_u64(st.squashed);
-        w.put_u64(st.branches);
-        w.put_u64(st.mispredicts);
-        w.put_u64(st.rob_full_stalls);
-        w.put_u64(st.iq_full_stalls);
-        w.put_u64(st.spl_wait_cycles);
-        w.put_u64(st.hw_wait_cycles);
-        w.put_u64(st.fence_wait_cycles);
-        w.put_u64(st.regfile_reads);
-        w.put_u64(st.regfile_writes);
-        w.put_u64(st.spl_ops);
-        w.put_u64(st.busy_cycles);
+impl Default for Src {
+    fn default() -> Src {
+        Src::Ready(0)
     }
+}
 
-    /// Restores state written by [`Core::save_state`] onto a freshly built
-    /// core with identical configuration and program.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        self.pred.load_state(r)?;
-        for v in &mut self.regs {
-            *v = r.get_i64()?;
+impl Visit for Src {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let t = v.tag(matches!(self, Src::Wait(_)) as u8, 2, "operand source")?;
+        if V::READS {
+            *self = [Src::Ready(0), Src::Wait(0)][t as usize];
         }
-        for m in &mut self.map {
-            *m = get_opt_u64(r)?;
+        match self {
+            Src::Ready(x) => v.i64(x),
+            Src::Wait(seq) => v.u64(seq),
         }
-        let rob_len = r.get_len(self.cfg.rob)?;
-        self.rob.clear();
-        for _ in 0..rob_len {
-            let e = self.load_rob_entry(r)?;
-            self.rob.push_back(e);
+    }
+}
+
+impl Visit for Status {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let t = match self {
+            Status::Waiting => 0,
+            Status::Executing(_) => 1,
+            Status::Done => 2,
+        };
+        let t = v.tag(t, 3, "ROB status")?;
+        if V::READS {
+            *self = [Status::Waiting, Status::Executing(0), Status::Done][t as usize];
         }
-        self.rob_tags.clear();
-        for _ in 0..rob_len {
-            self.rob_tags.push_back(r.get_u8()?);
+        match self {
+            Status::Executing(at) => v.u64(at),
+            _ => Ok(()),
         }
-        self.iq_occ = (r.get_usize()?, r.get_usize()?);
+    }
+}
+
+// The instruction word is not visited: the core re-derives it from the PC
+// on load.
+remap_snap::visit_fields!(Fetched: pc, pred, pred_next);
+
+remap_snap::visit_fields!(StoreBufEntry: addr, size, value);
+
+// The instruction word is not visited: the core re-derives it from the PC
+// on load.
+remap_snap::visit_fields!(
+    RobEntry: seq, pc, src, status, value, mem_addr, mem_size, in_iq, pred, pred_next, actual_next,
+    mispredicted, head_busy_until, head_done, waiters, next_waiter
+);
+
+/// Checkpoint support: all dynamic core state. Instruction words are never
+/// visited: every `inst` is re-derived from its `pc` against the (static)
+/// program on load, which keeps the snapshot compact and makes
+/// program/snapshot mismatches surface as decode failures.
+impl Visit for Core {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let cfg = self.cfg;
+        self.pred.visit(v)?;
+        v.each(&mut self.regs)?;
+        v.each(&mut self.map)?;
+        v.deque(&mut self.rob, cfg.rob)?;
+        // Walk tags are derivable but cheap; visiting them directly avoids
+        // re-encoding the status/in_iq mapping in two places.
+        if V::READS {
+            self.rob_tags.clear();
+            self.rob_tags.resize(self.rob.len(), 0);
+        }
+        self.rob_tags.iter_mut().try_for_each(|t| v.u8(t))?;
+        self.iq_occ.visit(v)?;
         // fetch_buf may hold up to 2*fetch_width-1 entries plus one more
         // landed group of fetch_width.
-        let n = r.get_len(3 * self.cfg.fetch_width as usize)?;
-        self.fetch_buf.clear();
-        for _ in 0..n {
-            let f = self.load_fetched(r)?;
-            self.fetch_buf.push(f);
+        v.vec(&mut self.fetch_buf, 3 * cfg.fetch_width as usize)?;
+        v.u32(&mut self.fetch_pc)?;
+        self.fetch_inflight_at.visit(v)?;
+        v.vec(&mut self.fetch_group, cfg.fetch_width as usize)?;
+        v.bool(&mut self.fetch_blocked)?;
+        v.u64(&mut self.fetch_bubble_until)?;
+        v.vec(&mut self.store_buf, cfg.store_buffer)?;
+        v.u64s([
+            &mut self.store_drain_done,
+            &mut self.int_div_free_at,
+            &mut self.fp_div_free_at,
+        ])?;
+        v.bool(&mut self.halted)?;
+        v.u64s([&mut self.cycle, &mut self.next_seq])?;
+        v.deque(&mut self.mem_seqs, cfg.rob)?;
+        v.vec(&mut self.exec_seqs, cfg.rob)?;
+        v.u64(&mut self.exec_next_done)?;
+        self.stats.visit(v)?;
+        if V::READS {
+            let program = &self.program;
+            let inst = |pc| program.fetch(pc).unwrap_or(Inst::Halt);
+            self.rob.iter_mut().for_each(|e| e.inst = inst(e.pc));
+            let fetched = self.fetch_buf.iter_mut().chain(&mut self.fetch_group);
+            fetched.for_each(|f| f.inst = inst(f.pc));
+            self.wb_completed.clear();
+            debug_assert!(self.tags_in_sync(), "restored rob_tags out of sync");
+            debug_assert!(
+                self.side_lists_in_sync(),
+                "restored mem_seqs/exec_seqs out of sync"
+            );
         }
-        self.fetch_pc = r.get_u32()?;
-        self.fetch_inflight_at = get_opt_u64(r)?;
-        let n = r.get_len(self.cfg.fetch_width as usize)?;
-        self.fetch_group.clear();
-        for _ in 0..n {
-            let f = self.load_fetched(r)?;
-            self.fetch_group.push(f);
-        }
-        self.fetch_blocked = r.get_bool()?;
-        self.fetch_bubble_until = r.get_u64()?;
-        let n = r.get_len(self.cfg.store_buffer)?;
-        self.store_buf.clear();
-        for _ in 0..n {
-            self.store_buf.push(StoreBufEntry {
-                addr: r.get_u64()?,
-                size: r.get_u8()?,
-                value: r.get_u64()?,
-            });
-        }
-        self.store_drain_done = r.get_u64()?;
-        self.int_div_free_at = r.get_u64()?;
-        self.fp_div_free_at = r.get_u64()?;
-        self.halted = r.get_bool()?;
-        self.cycle = r.get_u64()?;
-        self.next_seq = r.get_u64()?;
-        let n = r.get_len(self.cfg.rob)?;
-        self.mem_seqs.clear();
-        for _ in 0..n {
-            self.mem_seqs.push_back(r.get_u64()?);
-        }
-        let n = r.get_len(self.cfg.rob)?;
-        self.exec_seqs.clear();
-        for _ in 0..n {
-            self.exec_seqs.push(r.get_u64()?);
-        }
-        self.exec_next_done = r.get_u64()?;
-        self.wb_completed.clear();
-        let st = &mut self.stats;
-        st.cycles = r.get_u64()?;
-        st.committed = r.get_u64()?;
-        for c in &mut st.committed_by_class {
-            *c = r.get_u64()?;
-        }
-        st.fetched = r.get_u64()?;
-        st.dispatched = r.get_u64()?;
-        st.issued = r.get_u64()?;
-        st.squashed = r.get_u64()?;
-        st.branches = r.get_u64()?;
-        st.mispredicts = r.get_u64()?;
-        st.rob_full_stalls = r.get_u64()?;
-        st.iq_full_stalls = r.get_u64()?;
-        st.spl_wait_cycles = r.get_u64()?;
-        st.hw_wait_cycles = r.get_u64()?;
-        st.fence_wait_cycles = r.get_u64()?;
-        st.regfile_reads = r.get_u64()?;
-        st.regfile_writes = r.get_u64()?;
-        st.spl_ops = r.get_u64()?;
-        st.busy_cycles = r.get_u64()?;
-        debug_assert!(self.tags_in_sync(), "restored rob_tags out of sync");
-        debug_assert!(
-            self.side_lists_in_sync(),
-            "restored mem_seqs/exec_seqs out of sync"
-        );
         Ok(())
     }
-
-    /// Reads one fetched-instruction record, re-deriving the instruction
-    /// word from the program.
-    fn load_fetched(&self, r: &mut remap_snap::Reader) -> Result<Fetched, remap_snap::SnapError> {
-        let pc = r.get_u32()?;
-        let pred = get_opt_pred(r)?;
-        let pred_next = r.get_u32()?;
-        Ok(Fetched {
-            pc,
-            inst: self.program.fetch(pc).unwrap_or(Inst::Halt),
-            pred,
-            pred_next,
-        })
-    }
-
-    /// Reads one ROB entry, re-deriving the instruction word from the
-    /// program.
-    fn load_rob_entry(
-        &self,
-        r: &mut remap_snap::Reader,
-    ) -> Result<RobEntry, remap_snap::SnapError> {
-        let seq = r.get_u64()?;
-        let pc = r.get_u32()?;
-        let src = [get_src(r)?, get_src(r)?];
-        let status = match r.get_u8()? {
-            0 => Status::Waiting,
-            1 => Status::Executing(r.get_u64()?),
-            2 => Status::Done,
-            other => {
-                return Err(remap_snap::SnapError::Corrupt(format!(
-                    "bad ROB status tag {other}"
-                )))
-            }
-        };
-        Ok(RobEntry {
-            seq,
-            pc,
-            inst: self.program.fetch(pc).unwrap_or(Inst::Halt),
-            src,
-            status,
-            value: r.get_i64()?,
-            mem_addr: get_opt_u64(r)?,
-            mem_size: r.get_u8()?,
-            in_iq: r.get_bool()?,
-            pred: get_opt_pred(r)?,
-            pred_next: r.get_u32()?,
-            actual_next: r.get_u32()?,
-            mispredicted: r.get_bool()?,
-            head_busy_until: r.get_u64()?,
-            head_done: r.get_bool()?,
-            waiters: r.get_u64()?,
-            next_waiter: [r.get_u64()?, r.get_u64()?],
-        })
-    }
-}
-
-fn put_opt_u64(w: &mut remap_snap::Writer, v: Option<u64>) {
-    match v {
-        None => w.put_bool(false),
-        Some(x) => {
-            w.put_bool(true);
-            w.put_u64(x);
-        }
-    }
-}
-
-fn get_opt_u64(r: &mut remap_snap::Reader) -> Result<Option<u64>, remap_snap::SnapError> {
-    Ok(if r.get_bool()? {
-        Some(r.get_u64()?)
-    } else {
-        None
-    })
-}
-
-fn put_opt_pred(w: &mut remap_snap::Writer, p: &Option<Prediction>) {
-    match p {
-        None => w.put_bool(false),
-        Some(p) => {
-            w.put_bool(true);
-            w.put_bool(p.taken);
-            match p.target {
-                None => w.put_bool(false),
-                Some(t) => {
-                    w.put_bool(true);
-                    w.put_u32(t);
-                }
-            }
-            w.put_u32(p.history);
-        }
-    }
-}
-
-fn get_opt_pred(r: &mut remap_snap::Reader) -> Result<Option<Prediction>, remap_snap::SnapError> {
-    if !r.get_bool()? {
-        return Ok(None);
-    }
-    let taken = r.get_bool()?;
-    let target = if r.get_bool()? {
-        Some(r.get_u32()?)
-    } else {
-        None
-    };
-    let history = r.get_u32()?;
-    Ok(Some(Prediction {
-        taken,
-        target,
-        history,
-    }))
-}
-
-fn put_src(w: &mut remap_snap::Writer, s: &Src) {
-    match s {
-        Src::Ready(v) => {
-            w.put_u8(0);
-            w.put_i64(*v);
-        }
-        Src::Wait(seq) => {
-            w.put_u8(1);
-            w.put_u64(*seq);
-        }
-    }
-}
-
-fn get_src(r: &mut remap_snap::Reader) -> Result<Src, remap_snap::SnapError> {
-    match r.get_u8()? {
-        0 => Ok(Src::Ready(r.get_i64()?)),
-        1 => Ok(Src::Wait(r.get_u64()?)),
-        other => Err(remap_snap::SnapError::Corrupt(format!(
-            "bad operand source tag {other}"
-        ))),
-    }
-}
-
-fn save_fetched(w: &mut remap_snap::Writer, f: &Fetched) {
-    w.put_u32(f.pc);
-    put_opt_pred(w, &f.pred);
-    w.put_u32(f.pred_next);
-}
-
-fn save_rob_entry(w: &mut remap_snap::Writer, e: &RobEntry) {
-    w.put_u64(e.seq);
-    w.put_u32(e.pc);
-    put_src(w, &e.src[0]);
-    put_src(w, &e.src[1]);
-    match e.status {
-        Status::Waiting => w.put_u8(0),
-        Status::Executing(at) => {
-            w.put_u8(1);
-            w.put_u64(at);
-        }
-        Status::Done => w.put_u8(2),
-    }
-    w.put_i64(e.value);
-    put_opt_u64(w, e.mem_addr);
-    w.put_u8(e.mem_size);
-    w.put_bool(e.in_iq);
-    put_opt_pred(w, &e.pred);
-    w.put_u32(e.pred_next);
-    w.put_u32(e.actual_next);
-    w.put_bool(e.mispredicted);
-    w.put_u64(e.head_busy_until);
-    w.put_bool(e.head_done);
-    w.put_u64(e.waiters);
-    w.put_u64(e.next_waiter[0]);
-    w.put_u64(e.next_waiter[1]);
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -45,6 +45,12 @@ pub struct CoreStats {
     pub busy_cycles: u64,
 }
 
+remap_snap::visit_fields!(
+    CoreStats: cycles, committed, committed_by_class, fetched, dispatched, issued, squashed,
+    branches, mispredicts, rob_full_stalls, iq_full_stalls, spl_wait_cycles, hw_wait_cycles,
+    fence_wait_cycles, regfile_reads, regfile_writes, spl_ops, busy_cycles
+);
+
 /// Maps an [`InstClass`] to its slot in `committed_by_class`.
 pub fn class_index(c: InstClass) -> usize {
     match c {

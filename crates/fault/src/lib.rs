@@ -220,12 +220,11 @@ impl Roller {
         self.event
     }
 
-    /// Repositions the stream at `event` (the index the next draw will
-    /// use). Used by checkpoint restore: a roller rebuilt from the same
-    /// `(seed, site)` and repositioned draws exactly the stream the
+    /// The stream position, for checkpointing: a roller rebuilt from the
+    /// same `(seed, site)` and repositioned draws exactly the stream the
     /// original would have continued with.
-    pub fn set_event(&mut self, event: u64) {
-        self.event = event;
+    pub fn event_mut(&mut self) -> &mut u64 {
+        &mut self.event
     }
 
     /// Consumes the next event index and returns its deterministic draw.

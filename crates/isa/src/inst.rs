@@ -237,7 +237,7 @@ pub enum InstClass {
 /// Branch and jump targets are *instruction indices* into the owning
 /// [`Program`](crate::Program) (the simulated machine is word-addressed for
 /// code; byte address = `4 × index`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// Register-register ALU operation: `rd = op(rs1, rs2)`.
     Alu {
@@ -287,7 +287,9 @@ pub enum Inst {
     Fence,
     /// No operation.
     Nop,
-    /// Terminates the thread.
+    /// Terminates the thread. The default: a PC outside the program
+    /// fetches as `Halt`.
+    #[default]
     Halt,
     /// SPL extension: place `nbytes` low bytes of `rs` into the core's SPL
     /// input-queue entry under construction, at byte alignment `offset`.

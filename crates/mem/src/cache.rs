@@ -1,5 +1,6 @@
 //! Set-associative cache tag array with MESI state and LRU replacement.
 
+use remap_snap::{SnapError, Visit, Visitor};
 use std::fmt;
 
 /// MESI coherence state of a cache line.
@@ -13,6 +14,18 @@ pub enum Mesi {
     Shared,
     /// Invalid.
     Invalid,
+}
+
+/// Encoded as its declaration index.
+impl Visit for Mesi {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        const ALL: [Mesi; 4] = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared, Mesi::Invalid];
+        let t = v.tag(*self as u8, 4, "MESI")?;
+        if V::READS {
+            *self = ALL[t as usize];
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Mesi {
@@ -81,6 +94,8 @@ pub struct CacheStats {
     /// Lines invalidated by remote stores.
     pub invalidations: u64,
 }
+
+remap_snap::visit_fields!(CacheStats: hits, misses, writebacks, invalidations);
 
 impl CacheStats {
     /// Total accesses.
@@ -309,71 +324,6 @@ impl Cache {
         self.states.iter().filter(|&&s| s != Mesi::Invalid).count()
     }
 
-    /// Serializes the dynamic tag-array state (checkpoint support).
-    /// Geometry is not written — it is part of the config fingerprint.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.tags.len());
-        for &t in &self.tags {
-            w.put_u64(t);
-        }
-        for &s in &self.states {
-            w.put_u8(match s {
-                Mesi::Modified => 0,
-                Mesi::Exclusive => 1,
-                Mesi::Shared => 2,
-                Mesi::Invalid => 3,
-            });
-        }
-        for &l in &self.lru {
-            w.put_u64(l);
-        }
-        w.put_len(self.mru_way.len());
-        for &m in &self.mru_way {
-            w.put_u32(m);
-        }
-        w.put_u64(self.tick);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.writebacks);
-        w.put_u64(self.stats.invalidations);
-    }
-
-    /// Restores state written by [`Cache::save_state`] onto a cache of
-    /// identical geometry.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        use remap_snap::SnapError;
-        r.get_exact_len(self.tags.len())?;
-        for t in &mut self.tags {
-            *t = r.get_u64()?;
-        }
-        for s in &mut self.states {
-            *s = match r.get_u8()? {
-                0 => Mesi::Modified,
-                1 => Mesi::Exclusive,
-                2 => Mesi::Shared,
-                3 => Mesi::Invalid,
-                b => return Err(SnapError::Corrupt(format!("bad MESI byte {b}"))),
-            };
-        }
-        for l in &mut self.lru {
-            *l = r.get_u64()?;
-        }
-        r.get_exact_len(self.mru_way.len())?;
-        for m in &mut self.mru_way {
-            let v = r.get_u32()?;
-            if v as usize >= self.cfg.ways {
-                return Err(SnapError::Corrupt(format!("mru_way {v} out of range")));
-            }
-            *m = v;
-        }
-        self.tick = r.get_u64()?;
-        self.stats.hits = r.get_u64()?;
-        self.stats.misses = r.get_u64()?;
-        self.stats.writebacks = r.get_u64()?;
-        self.stats.invalidations = r.get_u64()?;
-        Ok(())
-    }
-
     /// Line-aligned base address of every resident line (used to reseed
     /// the coherence directory when it is enabled mid-run).
     pub fn resident_line_addrs(&self) -> impl Iterator<Item = u64> + '_ {
@@ -385,6 +335,22 @@ impl Cache {
             let si = (i / ways) as u64;
             Some((self.tags[i] << self.tag_shift) | (si << self.line_shift))
         })
+    }
+}
+
+/// Checkpoint support: the dynamic tag-array state. Geometry is not
+/// visited — it is part of the config fingerprint.
+impl Visit for Cache {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact(&mut self.tags)?;
+        v.each(&mut self.states)?;
+        v.each(&mut self.lru)?;
+        v.exact_len(self.mru_way.len())?;
+        for m in &mut self.mru_way {
+            v.index(m, self.cfg.ways)?;
+        }
+        v.u64(&mut self.tick)?;
+        self.stats.visit(v)
     }
 }
 

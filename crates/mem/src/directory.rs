@@ -18,6 +18,7 @@
 //! changed. `REMAP_NO_DIR=1` or `Hierarchy::set_dir(false)` restore the
 //! broadcast reference model.
 
+use remap_snap::{SnapError, Visit, Visitor};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -73,6 +74,11 @@ pub struct DirStats {
     /// Extra cycles charged for cache-to-cache hops beyond the first.
     pub hop_cycles: u64,
 }
+
+remap_snap::visit_fields!(
+    DirStats: lookups, probes_sent, probes_avoided, bank_conflicts, conflict_cycles,
+    back_invalidations, max_sharers, hop_cycles
+);
 
 /// Multiply-xor line hasher: one 64-bit multiply and a shift, no
 /// per-byte loop on the hot `write_u64` path.
@@ -255,61 +261,6 @@ impl Directory {
         xa.abs_diff(xb) + ya.abs_diff(yb)
     }
 
-    /// Serializes the sharer masks (sorted by line so the encoding is
-    /// independent of hash-map order), port busy windows, and counters.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        let mut lines: Vec<(u64, u64)> = self.sharers.iter().map(|(&l, &m)| (l, m)).collect();
-        lines.sort_unstable_by_key(|&(l, _)| l);
-        w.put_len(lines.len());
-        for (line, mask) in lines {
-            w.put_u64(line);
-            w.put_u64(mask);
-        }
-        for bank in &self.ports {
-            for &p in bank {
-                w.put_u64(p);
-            }
-        }
-        w.put_u64(self.stats.lookups);
-        w.put_u64(self.stats.probes_sent);
-        w.put_u64(self.stats.probes_avoided);
-        w.put_u64(self.stats.bank_conflicts);
-        w.put_u64(self.stats.conflict_cycles);
-        w.put_u64(self.stats.back_invalidations);
-        w.put_u32(self.stats.max_sharers);
-        w.put_u64(self.stats.hop_cycles);
-    }
-
-    /// Restores state written by [`Directory::save_state`].
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(1 << 28)?;
-        self.sharers.clear();
-        for _ in 0..n {
-            let line = r.get_u64()?;
-            let mask = r.get_u64()?;
-            if mask == 0 {
-                return Err(remap_snap::SnapError::Corrupt(format!(
-                    "empty sharer mask for line {line:#x}"
-                )));
-            }
-            self.sharers.insert(line, mask);
-        }
-        for bank in &mut self.ports {
-            for p in bank {
-                *p = r.get_u64()?;
-            }
-        }
-        self.stats.lookups = r.get_u64()?;
-        self.stats.probes_sent = r.get_u64()?;
-        self.stats.probes_avoided = r.get_u64()?;
-        self.stats.bank_conflicts = r.get_u64()?;
-        self.stats.conflict_cycles = r.get_u64()?;
-        self.stats.back_invalidations = r.get_u64()?;
-        self.stats.max_sharers = r.get_u32()?;
-        self.stats.hop_cycles = r.get_u64()?;
-        Ok(())
-    }
-
     /// Quiescence probe: the earliest port-free cycle of any *blocking*
     /// bank (all ports busy past `now`) — the only directory state that
     /// can gate a refused load. Banks with a free port report nothing
@@ -320,6 +271,23 @@ impl Directory {
             .filter(|bank| bank.iter().all(|&busy_until| busy_until > now))
             .map(|bank| bank.iter().copied().min().unwrap_or(u64::MAX))
             .min()
+    }
+}
+
+/// Checkpoint support: the sharer masks (in line order, so the encoding is
+/// independent of hash-map order), port busy windows, and counters.
+impl Visit for Directory {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.map(&mut self.sharers, 1 << 28)?;
+        if V::READS {
+            if let Some(line) = self.sharers.iter().find(|(_, &m)| m == 0).map(|(l, _)| l) {
+                return Err(SnapError::Corrupt(format!(
+                    "empty sharer mask for line {line:#x}"
+                )));
+            }
+        }
+        v.each(&mut self.ports)?;
+        self.stats.visit(v)
     }
 }
 

@@ -12,6 +12,7 @@
 //! fall back to the byte-at-a-time reference path (`read_u8`/`write_u8`),
 //! which is the semantic ground truth the property tests compare against.
 
+use remap_snap::{SnapError, Visit, Visitor};
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -253,42 +254,39 @@ impl FlatMem {
     pub fn resident_pages(&self) -> usize {
         self.data.len()
     }
+}
 
-    /// Serializes all resident pages, sorted by page id so the encoding is
-    /// independent of hash-map iteration order (arena slot numbers are an
-    /// internal detail and are renumbered on load).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        let mut ids: Vec<(u64, u32)> = self.index.iter().map(|(&id, &s)| (id, s)).collect();
-        ids.sort_unstable_by_key(|&(id, _)| id);
-        w.put_len(ids.len());
-        for (id, slot) in ids {
-            w.put_u64(id);
-            w.put_bytes(&self.data[slot as usize][..]);
+/// Checkpoint support: all resident pages in page-id order, so the encoding
+/// is independent of hash-map iteration order. Arena slot numbers are an
+/// internal detail and are renumbered on load; the MRU handle cache is a
+/// pure lookup shortcut, reset on load.
+impl Visit for FlatMem {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        if !V::READS {
+            let mut ids: Vec<(u64, u32)> = self.index.iter().map(|(&id, &s)| (id, s)).collect();
+            ids.sort_unstable_by_key(|&(id, _)| id);
+            v.len(ids.len(), usize::MAX)?;
+            for (mut id, slot) in ids {
+                v.u64(&mut id)?;
+                v.bytes(&mut self.data[slot as usize][..])?;
+            }
+            return Ok(());
         }
-    }
-
-    /// Replaces the entire memory contents with state written by
-    /// [`FlatMem::save_state`]. The MRU handle cache is reset (it is a pure
-    /// lookup shortcut and carries no architectural state).
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(1 << 28)?;
+        let n = v.len(0, 1 << 28)?;
         self.index.clear();
         self.data.clear();
         for slot in self.mru.iter() {
             slot.set((NO_PAGE, 0));
         }
         self.mru_next.set(0);
-        for i in 0..n {
-            let id = r.get_u64()?;
-            let bytes = r.get_bytes(PAGE_SIZE)?;
-            let s = u32::try_from(i).expect("page count bounded above");
+        for slot in 0..n as u32 {
+            let mut id = 0;
+            v.u64(&mut id)?;
             let mut page = Box::new([0u8; PAGE_SIZE]);
-            page.copy_from_slice(bytes);
+            v.bytes(&mut page[..])?;
             self.data.push(page);
-            if self.index.insert(id, s).is_some() {
-                return Err(remap_snap::SnapError::Corrupt(format!(
-                    "duplicate page id {id:#x}"
-                )));
+            if self.index.insert(id, slot).is_some() {
+                return Err(SnapError::Corrupt(format!("duplicate page id {id:#x}")));
             }
         }
         Ok(())

@@ -7,6 +7,7 @@ use crate::memctl::MemCtl;
 use crate::mshr::MshrFile;
 use crate::prefetch::StrideRpt;
 use remap_fault::{Roller, SiteCfg, SiteCounters};
+use remap_snap::{SnapError, Visit, Visitor};
 
 /// Deterministic L1/L2 line-corruption injection for one hierarchy.
 ///
@@ -43,25 +44,20 @@ impl CacheFault {
     pub fn counters(&self) -> SiteCounters {
         self.counters
     }
+}
 
-    /// Serializes the dynamic fault-stream state (checkpoint support).
-    /// The site configuration is rebuilt from the fault plan on restore.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_u64(self.roller.event());
-        w.put_u64(self.counters.injected);
-        w.put_u64(self.counters.detected);
-        w.put_u64(self.counters.recovered);
-        w.put_u64(self.counters.silent);
-    }
-
-    /// Restores state written by [`CacheFault::save_state`].
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        self.roller.set_event(r.get_u64()?);
-        self.counters.injected = r.get_u64()?;
-        self.counters.detected = r.get_u64()?;
-        self.counters.recovered = r.get_u64()?;
-        self.counters.silent = r.get_u64()?;
-        Ok(())
+/// Checkpoint support: the dynamic fault-stream state. The site
+/// configuration is rebuilt from the fault plan on restore.
+impl Visit for CacheFault {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let c = &mut self.counters;
+        v.u64s([
+            self.roller.event_mut(),
+            &mut c.injected,
+            &mut c.detected,
+            &mut c.recovered,
+            &mut c.silent,
+        ])
     }
 }
 
@@ -127,6 +123,11 @@ pub struct MlpStats {
     pub mc_queue_peak: u64,
 }
 
+remap_snap::visit_fields!(
+    MlpStats: mshr_hits_under_miss, mshr_merges, prefetch_issued, prefetch_useful, prefetch_late,
+    mc_queue_peak
+);
+
 impl MlpStats {
     /// Fraction of issued prefetches consumed by a demand (useful + late).
     /// NaN when none were issued — callers that require prefetch activity
@@ -174,52 +175,15 @@ impl Mlp {
             stats: MlpStats::default(),
         }
     }
+}
 
-    fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.files_d.len());
-        for f in &self.files_d {
-            f.save_state(w);
-        }
-        for f in &self.files_i {
-            f.save_state(w);
-        }
-        for rpt in &self.rpts {
-            rpt.save_state(w);
-        }
-        w.put_len(self.mcs.len());
-        for mc in &self.mcs {
-            mc.save_state(w);
-        }
-        w.put_u64(self.stats.mshr_hits_under_miss);
-        w.put_u64(self.stats.mshr_merges);
-        w.put_u64(self.stats.prefetch_issued);
-        w.put_u64(self.stats.prefetch_useful);
-        w.put_u64(self.stats.prefetch_late);
-        w.put_u64(self.stats.mc_queue_peak);
-    }
-
-    fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.files_d.len())?;
-        for f in &mut self.files_d {
-            f.load_state(r)?;
-        }
-        for f in &mut self.files_i {
-            f.load_state(r)?;
-        }
-        for rpt in &mut self.rpts {
-            rpt.load_state(r)?;
-        }
-        r.get_exact_len(self.mcs.len())?;
-        for mc in &mut self.mcs {
-            mc.load_state(r)?;
-        }
-        self.stats.mshr_hits_under_miss = r.get_u64()?;
-        self.stats.mshr_merges = r.get_u64()?;
-        self.stats.prefetch_issued = r.get_u64()?;
-        self.stats.prefetch_useful = r.get_u64()?;
-        self.stats.prefetch_late = r.get_u64()?;
-        self.stats.mc_queue_peak = r.get_u64()?;
-        Ok(())
+impl Visit for Mlp {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact(&mut self.files_d)?;
+        v.each(&mut self.files_i)?;
+        v.each(&mut self.rpts)?;
+        v.exact(&mut self.mcs)?;
+        self.stats.visit(v)
     }
 }
 
@@ -268,6 +232,8 @@ pub struct BusStats {
     /// Broadcast snoop probes issued.
     pub snoops: u64,
 }
+
+remap_snap::visit_fields!(BusStats: upgrades, c2c_transfers, dram_accesses, snoops);
 
 #[derive(Debug, Clone)]
 struct CorePrivate {
@@ -400,90 +366,6 @@ impl Hierarchy {
     /// Fault accounting so far (all zeros when no stream is installed).
     pub fn fault_counters(&self) -> SiteCounters {
         self.fault.as_ref().map(|f| f.counters).unwrap_or_default()
-    }
-
-    /// Serializes every piece of dynamic hierarchy state: per-core tag
-    /// arrays, the functional backing store, bus counters, and — when
-    /// present — the cache-fault stream, MLP machinery, and coherence
-    /// directory. Presence flags travel with the payload so a snapshot
-    /// taken with a model enabled refuses to load into a system without it
-    /// (restore never silently rebuilds from scratch: `set_mlp`/`set_dir`
-    /// reseed state and would not be bit-identical).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.cores.len());
-        for c in &self.cores {
-            c.l1i.save_state(w);
-            c.l1d.save_state(w);
-            c.l2.save_state(w);
-        }
-        self.mem.save_state(w);
-        w.put_u64(self.bus.upgrades);
-        w.put_u64(self.bus.c2c_transfers);
-        w.put_u64(self.bus.dram_accesses);
-        w.put_u64(self.bus.snoops);
-        w.put_bool(self.fault.is_some());
-        if let Some(f) = self.fault.as_deref() {
-            f.save_state(w);
-        }
-        w.put_bool(self.mlp.is_some());
-        if let Some(m) = self.mlp.as_deref() {
-            m.save_state(w);
-        }
-        w.put_bool(self.dir.is_some());
-        if let Some(d) = self.dir.as_deref() {
-            d.save_state(w);
-        }
-    }
-
-    /// Restores state written by [`Hierarchy::save_state`] onto a
-    /// hierarchy of identical geometry. The fault stream (when present in
-    /// the snapshot) must already be installed via [`Hierarchy::set_fault`]
-    /// — the caller rebuilds it from the fault plan — and the MLP/directory
-    /// models must match the snapshot's presence flags.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        use remap_snap::SnapError;
-        r.get_exact_len(self.cores.len())?;
-        for c in &mut self.cores {
-            c.l1i.load_state(r)?;
-            c.l1d.load_state(r)?;
-            c.l2.load_state(r)?;
-        }
-        self.mem.load_state(r)?;
-        self.bus.upgrades = r.get_u64()?;
-        self.bus.c2c_transfers = r.get_u64()?;
-        self.bus.dram_accesses = r.get_u64()?;
-        self.bus.snoops = r.get_u64()?;
-        let has_fault = r.get_bool()?;
-        if has_fault != self.fault.is_some() {
-            return Err(SnapError::Corrupt(format!(
-                "cache-fault stream presence mismatch (snapshot {has_fault}, system {})",
-                self.fault.is_some()
-            )));
-        }
-        if let Some(f) = self.fault.as_deref_mut() {
-            f.load_state(r)?;
-        }
-        let has_mlp = r.get_bool()?;
-        if has_mlp != self.mlp.is_some() {
-            return Err(SnapError::Corrupt(format!(
-                "MLP model presence mismatch (snapshot {has_mlp}, system {})",
-                self.mlp.is_some()
-            )));
-        }
-        if let Some(m) = self.mlp.as_deref_mut() {
-            m.load_state(r)?;
-        }
-        let has_dir = r.get_bool()?;
-        if has_dir != self.dir.is_some() {
-            return Err(SnapError::Corrupt(format!(
-                "directory presence mismatch (snapshot {has_dir}, system {})",
-                self.dir.is_some()
-            )));
-        }
-        if let Some(d) = self.dir.as_deref_mut() {
-            d.load_state(r)?;
-        }
-        Ok(())
     }
 
     /// Number of cores this hierarchy serves.
@@ -1146,6 +1028,26 @@ impl Hierarchy {
             }
         }
         Ok(())
+    }
+}
+
+remap_snap::visit_fields!(CorePrivate: l1i, l1d, l2);
+
+/// Checkpoint support: every piece of dynamic hierarchy state — per-core
+/// tag arrays, the functional backing store, bus counters, and, when
+/// present, the cache-fault stream, MLP machinery, and coherence directory.
+/// Presence flags travel with the payload and must match on load: the
+/// fault stream is installed by the caller from the fault plan, and
+/// restore never silently rebuilds MLP or directory state (`set_mlp` /
+/// `set_dir` reseed and would not be bit-identical).
+impl Visit for Hierarchy {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact(&mut self.cores)?;
+        self.mem.visit(v)?;
+        self.bus.visit(v)?;
+        v.present("cache-fault stream", self.fault.as_deref_mut())?;
+        v.present("MLP model", self.mlp.as_deref_mut())?;
+        v.present("directory", self.dir.as_deref_mut())
     }
 }
 

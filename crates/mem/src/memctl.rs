@@ -16,6 +16,8 @@
 //! readiness probes (`Hierarchy::load_ready` and friends) never touch the
 //! controller, so skip and tick mode observe identical schedules.
 
+use remap_snap::{SnapError, Visit, Visitor};
+
 /// One memory controller serving a cluster of cores.
 #[derive(Debug, Clone)]
 pub struct MemCtl {
@@ -76,33 +78,14 @@ impl MemCtl {
     pub fn queue_peak(&self) -> u32 {
         self.queue_peak
     }
+}
 
-    /// Serializes the dynamic scheduling state (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.slots.len());
-        for &s in &self.slots {
-            w.put_u64(s);
-        }
-        w.put_len(self.banks.len());
-        for &b in &self.banks {
-            w.put_u64(b);
-        }
-        w.put_u32(self.queue_peak);
-    }
-
-    /// Restores state written by [`MemCtl::save_state`] onto a controller
-    /// of identical geometry.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.slots.len())?;
-        for s in &mut self.slots {
-            *s = r.get_u64()?;
-        }
-        r.get_exact_len(self.banks.len())?;
-        for b in &mut self.banks {
-            *b = r.get_u64()?;
-        }
-        self.queue_peak = r.get_u32()?;
-        Ok(())
+/// Checkpoint support: the dynamic scheduling state.
+impl Visit for MemCtl {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact(&mut self.slots)?;
+        v.exact(&mut self.banks)?;
+        v.u32(&mut self.queue_peak)
     }
 }
 

@@ -22,6 +22,8 @@
 //! The file is fixed-capacity and allocation-free after construction; the
 //! per-cycle simulator hot loop may scan it but never grow it.
 
+use remap_snap::{SnapError, Visit, Visitor};
+
 /// One miss-status holding register.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -216,38 +218,22 @@ impl MshrFile {
         }
     }
 
-    /// Serializes the register file (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.entries.len());
-        for e in &self.entries {
-            w.put_u64(e.line);
-            w.put_u64(e.done_at);
-            w.put_bool(e.prefetch);
-            w.put_bool(e.valid);
-        }
-        w.put_u64(self.max_done);
-    }
-
-    /// Restores state written by [`MshrFile::save_state`] onto a file of
-    /// identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.entries.len())?;
-        for e in &mut self.entries {
-            e.line = r.get_u64()?;
-            e.done_at = r.get_u64()?;
-            e.prefetch = r.get_bool()?;
-            e.valid = r.get_bool()?;
-        }
-        self.max_done = r.get_u64()?;
-        Ok(())
-    }
-
     /// True when `line` already has an entry (in flight or ready) — used
     /// to suppress duplicate prefetches.
     pub fn tracks(&self, line: u64, now: u64) -> bool {
         self.entries
             .iter()
             .any(|e| e.valid && e.line == line && (e.prefetch || e.done_at > now))
+    }
+}
+
+remap_snap::visit_fields!(Entry: line, done_at, prefetch, valid);
+
+/// Checkpoint support: the whole register file.
+impl Visit for MshrFile {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact(&mut self.entries)?;
+        v.u64(&mut self.max_done)
     }
 }
 

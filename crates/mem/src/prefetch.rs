@@ -12,6 +12,8 @@
 //! when an MSHR register and a memory-controller slot are free, so
 //! prefetching can never block or starve demand traffic.
 
+use remap_snap::{SnapError, Visit, Visitor};
+
 /// One RPT row.
 #[derive(Debug, Clone, Copy)]
 struct RptEntry {
@@ -80,31 +82,14 @@ impl StrideRpt {
             None
         }
     }
+}
 
-    /// Serializes the table (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.entries.len());
-        for e in &self.entries {
-            w.put_u32(e.pc);
-            w.put_u64(e.last);
-            w.put_i64(e.stride);
-            w.put_u8(e.conf);
-            w.put_bool(e.valid);
-        }
-    }
+remap_snap::visit_fields!(RptEntry: pc, last, stride, conf, valid);
 
-    /// Restores state written by [`StrideRpt::save_state`] onto a table of
-    /// identical row count.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.entries.len())?;
-        for e in &mut self.entries {
-            e.pc = r.get_u32()?;
-            e.last = r.get_u64()?;
-            e.stride = r.get_i64()?;
-            e.conf = r.get_u8()?;
-            e.valid = r.get_bool()?;
-        }
-        Ok(())
+/// Checkpoint support: every table row.
+impl Visit for StrideRpt {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.exact(&mut self.entries)
     }
 }
 

@@ -1,16 +1,20 @@
-//! Binary snapshot codec: a tiny, dependency-free byte-level writer/reader
-//! pair plus the framed on-disk snapshot format.
+//! Binary snapshot codec: one state visitor with three implementations,
+//! plus the framed on-disk snapshot format.
 //!
-//! Every simulator crate serializes its run state through [`Writer`] /
-//! [`Reader`] (`save_state` / `load_state` methods live next to the types
-//! they capture, so private fields stay private). The encoding is
-//! deliberately dumb: fixed-width little-endian integers, length-prefixed
+//! Every simulator component implements [`Visit`] next to its own type
+//! (so private fields stay private): a single `visit` walks the state once,
+//! and the [`Visitor`] decides what the walk does — [`Writer`] encodes,
+//! [`Reader`] decodes with bounds checks, [`Hasher`] digests. The encoding
+//! is deliberately dumb: fixed-width little-endian integers, length-prefixed
 //! sequences, no schema, no varints, no serde. Robustness comes from the
 //! outer frame ([`encode_file`] / [`decode_file`]): magic, format version,
 //! a configuration fingerprint, a payload length, and a trailing FNV-1a
 //! checksum over everything before it. Torn tails, foreign files, and
 //! fingerprint mismatches are all refused with a typed [`SnapError`]
 //! before a single payload byte is interpreted.
+
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash};
 
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
@@ -66,105 +70,306 @@ impl std::error::Error for SnapError {}
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming 64-bit FNV-1a hasher (fingerprints and frame checksums).
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    pub fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
+/// Folds `bytes` into a running 64-bit FNV-1a hash.
+fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
     }
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
+    h
 }
 
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv::new()
-    }
-}
-
-/// One-shot FNV-1a over a byte slice.
+/// One-shot FNV-1a over a byte slice (fingerprints and frame checksums).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
+    fnv_update(FNV_OFFSET, bytes)
+}
+
+// --- Visitor ----------------------------------------------------------------
+
+/// State that walks itself through a [`Visitor`]. One `visit` per type
+/// serves encoding, decoding and hashing: the visitor decides the direction.
+pub trait Visit {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError>;
+}
+
+/// Implements [`Visit`] for a struct by visiting the named fields in order.
+#[macro_export]
+macro_rules! visit_fields {
+    ($t:ty: $($f:ident),+ $(,)?) => {
+        impl $crate::Visit for $t {
+            fn visit<V: $crate::Visitor>(&mut self, v: &mut V) -> Result<(), $crate::SnapError> {
+                $($crate::Visit::visit(&mut self.$f, v)?;)+
+                Ok(())
+            }
+        }
+    };
+}
+
+macro_rules! int_method {
+    ($($name:ident: $t:ty),*) => {$(
+        fn $name(&mut self, x: &mut $t) -> Result<(), SnapError> {
+            let mut b = x.to_le_bytes();
+            self.bytes(&mut b)?;
+            if Self::READS {
+                *x = <$t>::from_le_bytes(b);
+            }
+            Ok(())
+        }
+    )*};
+}
+
+/// A walk over simulator state that encodes it ([`Writer`]), decodes into
+/// it ([`Reader`]) or hashes it ([`Hasher`]). Encoding is fixed-width
+/// little-endian with `u64` length prefixes; every check a decoder needs
+/// (exact and bounded lengths, indices, enum tags, presence flags) lives in
+/// the provided methods and runs only when [`Visitor::READS`] is set.
+/// Encoders and hashers never modify the state they walk.
+pub trait Visitor: Sized {
+    /// True for the decoder: visited fields are overwritten.
+    const READS: bool;
+
+    /// Visits a fixed-size byte run (no length prefix).
+    fn bytes(&mut self, b: &mut [u8]) -> Result<(), SnapError>;
+
+    /// Starts (or returns to) the digest part `name`; the bytes that follow
+    /// belong to it. Only the [`Hasher`] acts on it.
+    fn part(&mut self, _name: impl FnOnce() -> String) {}
+
+    int_method!(u8: u8, u16: u16, u32: u32, u64: u64, i64: i64);
+
+    fn bool(&mut self, x: &mut bool) -> Result<(), SnapError> {
+        let mut b = u8::from(*x);
+        self.u8(&mut b)?;
+        if b > 1 {
+            return Err(SnapError::Corrupt(format!("bad bool byte {b}")));
+        }
+        if Self::READS {
+            *x = b == 1;
+        }
+        Ok(())
+    }
+
+    /// `usize` values travel as `u64` so 32- and 64-bit hosts interoperate.
+    fn usize(&mut self, x: &mut usize) -> Result<(), SnapError> {
+        let mut v = *x as u64;
+        self.u64(&mut v)?;
+        if Self::READS {
+            *x = usize::try_from(v)
+                .map_err(|_| SnapError::Corrupt(format!("usize overflow: {v}")))?;
+        }
+        Ok(())
+    }
+
+    /// Several `u64` fields in order (statistics blocks).
+    fn u64s<const N: usize>(&mut self, xs: [&mut u64; N]) -> Result<(), SnapError> {
+        xs.into_iter().try_for_each(|x| self.u64(x))
+    }
+
+    /// Length prefix of a sequence of `n` elements. A decoded length above
+    /// `max` is refused, so a corrupt prefix cannot trigger a huge
+    /// allocation. Returns the (decoded) length.
+    fn len(&mut self, n: usize, max: usize) -> Result<usize, SnapError> {
+        let mut n = n;
+        self.usize(&mut n)?;
+        if Self::READS && n > max {
+            return Err(SnapError::Corrupt(format!(
+                "sequence length {n} exceeds bound {max}"
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Length prefix that must equal `n` (fixed-geometry vectors: per-core
+    /// arrays, cache ways, bank tables).
+    fn exact_len(&mut self, n: usize) -> Result<(), SnapError> {
+        let mut m = n;
+        self.usize(&mut m)?;
+        if m != n {
+            return Err(SnapError::Corrupt(format!(
+                "sequence length {m}, expected {n}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// A value that later indexes a table of `bound` entries.
+    fn index<T>(&mut self, i: &mut T, bound: usize) -> Result<(), SnapError>
+    where
+        T: Visit + Copy + TryInto<usize> + std::fmt::Display,
+    {
+        i.visit(self)?;
+        if Self::READS && (*i).try_into().map_or(true, |x| x >= bound) {
+            return Err(SnapError::Corrupt(format!(
+                "index {i} out of range (bound {bound})"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Enum discriminant `t` of `n` variants; returns the (decoded) tag.
+    fn tag(&mut self, t: u8, n: u8, what: &str) -> Result<u8, SnapError> {
+        let mut t = t;
+        self.u8(&mut t)?;
+        if t >= n {
+            return Err(SnapError::Corrupt(format!("bad {what} tag {t}")));
+        }
+        Ok(t)
+    }
+
+    /// Presence flag and contents of an optional component the restoring
+    /// system builds itself: the flag must match, it is never rebuilt here.
+    fn present<T: Visit>(&mut self, what: &str, x: Option<&mut T>) -> Result<(), SnapError> {
+        let mut has = x.is_some();
+        self.bool(&mut has)?;
+        if has != x.is_some() {
+            return Err(SnapError::Corrupt(format!(
+                "{what} presence mismatch (snapshot {has}, system {})",
+                x.is_some()
+            )));
+        }
+        x.map_or(Ok(()), |x| x.visit(self))
+    }
+
+    /// Elements of a fixed-geometry slice, without a length prefix.
+    fn each<T: Visit>(&mut self, xs: &mut [T]) -> Result<(), SnapError> {
+        xs.iter_mut().try_for_each(|x| x.visit(self))
+    }
+
+    /// Exact length prefix, then the elements.
+    fn exact<T: Visit>(&mut self, xs: &mut [T]) -> Result<(), SnapError> {
+        self.exact_len(xs.len())?;
+        self.each(xs)
+    }
+
+    /// Bounded length prefix, then each element through `f`.
+    fn seq<T: Default>(
+        &mut self,
+        xs: &mut Vec<T>,
+        max: usize,
+        mut f: impl FnMut(&mut Self, &mut T) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        let n = self.len(xs.len(), max)?;
+        if Self::READS {
+            xs.clear();
+            xs.resize_with(n, T::default);
+        }
+        xs.iter_mut().try_for_each(|x| f(self, x))
+    }
+
+    /// Bounded length prefix, then the elements.
+    fn vec<T: Visit + Default>(&mut self, xs: &mut Vec<T>, max: usize) -> Result<(), SnapError> {
+        self.seq(xs, max, |v, x| x.visit(v))
+    }
+
+    /// As [`Visitor::vec`], for a ring buffer.
+    fn deque<T: Visit + Default>(
+        &mut self,
+        xs: &mut VecDeque<T>,
+        max: usize,
+    ) -> Result<(), SnapError> {
+        let n = self.len(xs.len(), max)?;
+        if Self::READS {
+            xs.clear();
+            xs.resize_with(n, T::default);
+        }
+        xs.iter_mut().try_for_each(|x| x.visit(self))
+    }
+
+    /// Bounded length prefix, then `(key, value)` pairs in key order, so the
+    /// encoding does not depend on hash-map iteration order. A duplicate
+    /// decoded key is refused.
+    fn map<K, T, S>(&mut self, m: &mut HashMap<K, T, S>, max: usize) -> Result<(), SnapError>
+    where
+        K: Visit + Default + Copy + Ord + Hash + std::fmt::Debug,
+        T: Visit + Default,
+        S: BuildHasher,
+    {
+        if Self::READS {
+            let n = self.len(0, max)?;
+            m.clear();
+            for _ in 0..n {
+                let (mut k, mut x) = (K::default(), T::default());
+                k.visit(self)?;
+                x.visit(self)?;
+                if m.insert(k, x).is_some() {
+                    return Err(SnapError::Corrupt(format!("duplicate key {k:?}")));
+                }
+            }
+            return Ok(());
+        }
+        let mut entries: Vec<(K, &mut T)> = m.iter_mut().map(|(&k, x)| (k, x)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        self.len(entries.len(), max)?;
+        for (mut k, x) in entries {
+            k.visit(self)?;
+            x.visit(self)?;
+        }
+        Ok(())
+    }
+}
+
+macro_rules! visit_scalar {
+    ($($t:ident),*) => {$(
+        impl Visit for $t {
+            fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+                v.$t(self)
+            }
+        }
+    )*};
+}
+
+visit_scalar!(u8, u16, u32, u64, i64, bool, usize);
+
+/// Presence flag, then the value.
+impl<T: Visit + Default> Visit for Option<T> {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let mut some = self.is_some();
+        v.bool(&mut some)?;
+        if V::READS {
+            *self = some.then(T::default);
+        }
+        self.as_mut().map_or(Ok(()), |x| x.visit(v))
+    }
+}
+
+impl<A: Visit, B: Visit> Visit for (A, B) {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        self.0.visit(v)?;
+        self.1.visit(v)
+    }
+}
+
+impl<T: Visit, const N: usize> Visit for [T; N] {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.each(self)
+    }
 }
 
 // --- Writer -----------------------------------------------------------------
 
-/// Append-only little-endian byte writer.
+/// The encoding visitor: appends the visited state to a byte buffer.
 #[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
+pub struct Writer(Vec<u8>);
 
 impl Writer {
-    pub fn new() -> Writer {
-        Writer { buf: Vec::new() }
-    }
-
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf
+        self.0
     }
+}
 
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
+impl Visitor for Writer {
+    const READS: bool = false;
 
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// `usize` values travel as `u64` so 32- and 64-bit hosts interoperate.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Length prefix for a following sequence.
-    pub fn put_len(&mut self, n: usize) {
-        self.put_u64(n as u64);
+    #[inline]
+    fn bytes(&mut self, b: &mut [u8]) -> Result<(), SnapError> {
+        self.0.extend_from_slice(b);
+        Ok(())
     }
 }
 
 // --- Reader -----------------------------------------------------------------
 
-/// Cursor over a snapshot payload; every read is bounds-checked.
+/// The decoding visitor: a cursor over a payload; every read is
+/// bounds-checked and a failed read consumes nothing.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -176,87 +381,84 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.remaining() < n {
-            return Err(SnapError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub fn get_u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.get_bytes(1)?[0])
-    }
-
-    pub fn get_bool(&mut self) -> Result<bool, SnapError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapError::Corrupt(format!("bad bool byte {b}"))),
+    /// Refuses a payload with bytes left over after the visit.
+    pub fn finish(&self) -> Result<(), SnapError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(SnapError::Corrupt(format!("{n} trailing payload bytes"))),
         }
     }
+}
 
-    pub fn get_u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.get_bytes(2)?.try_into().unwrap()))
+impl Visitor for Reader<'_> {
+    const READS: bool = true;
+
+    #[inline]
+    fn bytes(&mut self, b: &mut [u8]) -> Result<(), SnapError> {
+        let src = self
+            .buf
+            .get(self.pos..self.pos + b.len())
+            .ok_or(SnapError::Truncated)?;
+        b.copy_from_slice(src);
+        self.pos += b.len();
+        Ok(())
     }
+}
 
-    pub fn get_u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.get_bytes(4)?.try_into().unwrap()))
+// --- Hasher -----------------------------------------------------------------
+
+/// The hashing visitor: FNV-1a over exactly the bytes a [`Writer`] would
+/// emit, one running hash per named part ([`Visitor::part`]), in order of
+/// first use. Bytes visited before any part hash into an unnamed one.
+#[derive(Debug, Clone, Default)]
+pub struct Hasher {
+    parts: Vec<(String, u64)>,
+    cur: usize,
+}
+
+impl Hasher {
+    /// The `(part, hash)` pairs.
+    pub fn finish(self) -> Vec<(String, u64)> {
+        self.parts
     }
+}
 
-    pub fn get_u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.get_bytes(8)?.try_into().unwrap()))
-    }
+impl Visitor for Hasher {
+    const READS: bool = false;
 
-    pub fn get_i64(&mut self) -> Result<i64, SnapError> {
-        Ok(i64::from_le_bytes(self.get_bytes(8)?.try_into().unwrap()))
-    }
-
-    pub fn get_usize(&mut self) -> Result<usize, SnapError> {
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| SnapError::Corrupt(format!("usize overflow: {v}")))
-    }
-
-    /// Reads a length prefix and checks it against a sanity bound so a
-    /// corrupt length cannot trigger a huge allocation.
-    pub fn get_len(&mut self, max: usize) -> Result<usize, SnapError> {
-        let n = self.get_usize()?;
-        if n > max {
-            return Err(SnapError::Corrupt(format!(
-                "sequence length {n} exceeds bound {max}"
-            )));
-        }
-        Ok(n)
-    }
-
-    /// Reads a length prefix that must equal `expected` (fixed-geometry
-    /// vectors: per-core arrays, cache ways, bank tables).
-    pub fn get_exact_len(&mut self, expected: usize) -> Result<(), SnapError> {
-        let n = self.get_usize()?;
-        if n != expected {
-            return Err(SnapError::Corrupt(format!(
-                "sequence length {n}, expected {expected}"
-            )));
+    #[inline]
+    fn bytes(&mut self, b: &mut [u8]) -> Result<(), SnapError> {
+        match self.parts.get_mut(self.cur) {
+            Some((_, h)) => *h = fnv_update(*h, b),
+            None => self.parts.push((String::new(), fnv_update(FNV_OFFSET, b))),
         }
         Ok(())
+    }
+
+    fn part(&mut self, name: impl FnOnce() -> String) {
+        let name = name();
+        self.cur = match self.parts.iter().position(|(n, _)| *n == name) {
+            Some(i) => i,
+            None => {
+                self.parts.push((name, FNV_OFFSET));
+                self.parts.len() - 1
+            }
+        };
     }
 }
 
 // --- file frame -------------------------------------------------------------
 
+/// Bytes before the payload: magic, version, fingerprint, payload length.
+pub const HEADER_LEN: usize = 8 + 4 + 8 + 8;
+
+/// Bytes after the payload: the FNV-1a checksum.
+pub const TRAILER_LEN: usize = 8;
+
 /// Frames `payload` into a self-validating snapshot file image:
 /// `MAGIC | version | fingerprint | payload_len | payload | fnv1a(all prior)`.
 pub fn encode_file(fingerprint: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 36);
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&fingerprint.to_le_bytes());
@@ -280,17 +482,17 @@ pub fn decode_file(bytes: &[u8], expected_fingerprint: u64) -> Result<&[u8], Sna
         return Err(SnapError::BadMagic);
     }
     let mut r = Reader::new(&bytes[MAGIC.len()..]);
-    let version = r.get_u32()?;
+    let (mut version, mut fingerprint, mut payload_len) = (0u32, 0u64, 0usize);
+    r.u32(&mut version)?;
     if version != FORMAT_VERSION {
         return Err(SnapError::BadVersion { found: version });
     }
-    let fingerprint = r.get_u64()?;
-    let payload_len = r.get_usize()?;
-    let header = MAGIC.len() + 4 + 8 + 8;
-    let body_end = header
+    r.u64(&mut fingerprint)?;
+    r.usize(&mut payload_len)?;
+    let body_end = HEADER_LEN
         .checked_add(payload_len)
         .ok_or(SnapError::Truncated)?;
-    if bytes.len() != body_end + 8 {
+    if body_end.checked_add(TRAILER_LEN) != Some(bytes.len()) {
         return Err(SnapError::Truncated);
     }
     let sum = fnv1a(&bytes[..body_end]);
@@ -304,72 +506,164 @@ pub fn decode_file(bytes: &[u8], expected_fingerprint: u64) -> Result<&[u8], Sna
             found: fingerprint,
         });
     }
-    Ok(&bytes[header..body_end])
+    Ok(&bytes[HEADER_LEN..body_end])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Sample {
+        a: u8,
+        flag: bool,
+        b: u16,
+        c: u32,
+        d: u64,
+        e: i64,
+        f: usize,
+        tail: [u8; 4],
+        opt: Option<u64>,
+        list: Vec<(u32, bool)>,
+        ring: VecDeque<u16>,
+        table: HashMap<u64, u32>,
+    }
+
+    impl Visit for Sample {
+        fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+            v.u8(&mut self.a)?;
+            v.bool(&mut self.flag)?;
+            v.u16(&mut self.b)?;
+            v.u32(&mut self.c)?;
+            v.u64(&mut self.d)?;
+            v.i64(&mut self.e)?;
+            v.usize(&mut self.f)?;
+            v.bytes(&mut self.tail)?;
+            self.opt.visit(v)?;
+            v.vec(&mut self.list, 8)?;
+            v.deque(&mut self.ring, 8)?;
+            v.map(&mut self.table, 8)
+        }
+    }
+
+    fn sample() -> Sample {
+        Sample {
+            a: 0xAB,
+            flag: true,
+            b: 0xBEEF,
+            c: 0xDEAD_BEEF,
+            d: u64::MAX - 3,
+            e: -42,
+            f: 12345,
+            tail: *b"tail",
+            opt: Some(7),
+            list: vec![(1, true), (2, false)],
+            ring: VecDeque::from([5, 6, 7]),
+            table: HashMap::from([(30, 3), (10, 1), (20, 2)]),
+        }
+    }
+
+    fn encode(x: &mut impl Visit) -> Vec<u8> {
+        let mut w = Writer::default();
+        x.visit(&mut w).unwrap();
+        w.into_vec()
+    }
+
     #[test]
-    fn round_trips_every_scalar() {
-        let mut w = Writer::new();
-        w.put_u8(0xAB);
-        w.put_bool(true);
-        w.put_bool(false);
-        w.put_u16(0xBEEF);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 3);
-        w.put_i64(-42);
-        w.put_usize(12345);
-        w.put_bytes(b"tail");
-        let buf = w.into_vec();
+    fn round_trips_through_one_visit() {
+        let mut s = sample();
+        let buf = encode(&mut s);
+        assert_eq!(s, sample(), "encoding must not modify the state");
+        let mut back = Sample::default();
         let mut r = Reader::new(&buf);
-        assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert!(r.get_bool().unwrap());
-        assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_i64().unwrap(), -42);
-        assert_eq!(r.get_usize().unwrap(), 12345);
-        assert_eq!(r.get_bytes(4).unwrap(), b"tail");
-        assert!(r.is_done());
+        back.visit(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, s);
+        // Fixed-width little-endian layout, map entries in key order.
+        assert_eq!(&buf[..4], &[0xAB, 1, 0xEF, 0xBE]);
+        let table = &buf[buf.len() - 8 - 3 * 12..];
+        assert_eq!(table[..8], 3u64.to_le_bytes());
+        assert_eq!(table[8..16], 10u64.to_le_bytes());
+    }
+
+    #[test]
+    fn hasher_digests_exactly_the_encoded_bytes() {
+        let mut s = sample();
+        let buf = encode(&mut s);
+        let mut h = Hasher::default();
+        s.visit(&mut h).unwrap();
+        assert_eq!(h.finish(), vec![(String::new(), fnv1a(&buf))]);
+        // Named parts partition the stream.
+        let mut h = Hasher::default();
+        h.part(|| "a".into());
+        h.u8(&mut 1).unwrap();
+        h.part(|| "b".into());
+        h.u8(&mut 2).unwrap();
+        h.part(|| "a".into());
+        h.u8(&mut 3).unwrap();
+        let parts = vec![("a".into(), fnv1a(&[1, 3])), ("b".into(), fnv1a(&[2]))];
+        assert_eq!(h.finish(), parts);
     }
 
     #[test]
     fn reads_past_end_are_truncated_not_panics() {
         let mut r = Reader::new(&[1, 2, 3]);
-        assert_eq!(r.get_u64(), Err(SnapError::Truncated));
+        assert_eq!(r.u64(&mut 0), Err(SnapError::Truncated));
         // Failed reads consume nothing.
-        assert_eq!(r.remaining(), 3);
-        assert_eq!(r.get_u16().unwrap(), 0x0201);
-        assert_eq!(r.get_u32(), Err(SnapError::Truncated));
+        let mut x = 0u16;
+        r.u16(&mut x).unwrap();
+        assert_eq!(x, 0x0201);
+        assert_eq!(r.u32(&mut 0), Err(SnapError::Truncated));
+        assert!(matches!(r.finish(), Err(SnapError::Corrupt(_))));
+        let buf = encode(&mut sample());
+        for cut in 0..buf.len() {
+            let mut r = Reader::new(&buf[..cut]);
+            assert_eq!(Sample::default().visit(&mut r), Err(SnapError::Truncated));
+        }
     }
 
     #[test]
-    fn bad_bool_is_corrupt() {
-        let mut r = Reader::new(&[7]);
-        assert!(matches!(r.get_bool(), Err(SnapError::Corrupt(_))));
-    }
-
-    #[test]
-    fn length_bounds_are_enforced() {
-        let mut w = Writer::new();
-        w.put_len(10);
-        w.put_len(4);
+    fn decoder_checks_live_in_the_primitives() {
+        let corrupt = |r: Result<(), SnapError>| matches!(r, Err(SnapError::Corrupt(_)));
+        assert!(corrupt(Reader::new(&[7]).bool(&mut false)));
+        let ten = 10u64.to_le_bytes();
+        assert!(matches!(
+            Reader::new(&ten).len(0, 8),
+            Err(SnapError::Corrupt(_))
+        ));
+        assert_eq!(Reader::new(&ten).len(0, 16), Ok(10));
+        assert!(corrupt(Reader::new(&ten).exact_len(5)));
+        assert!(corrupt(Reader::new(&ten).index(&mut 0usize, 10)));
+        assert!(Reader::new(&ten).index(&mut 0usize, 11).is_ok());
+        assert!(corrupt(Reader::new(&ten[..4]).index(&mut 0u32, 10)));
+        assert!(matches!(
+            Reader::new(&[3]).tag(0, 3, "test"),
+            Err(SnapError::Corrupt(_))
+        ));
+        assert!(corrupt(Reader::new(&[1]).present::<u8>("model", None)));
+        assert!(corrupt(Reader::new(&[0]).present("model", Some(&mut 0u8))));
+        // Encoders do not validate: they only ever see live state.
+        let mut w = Writer::default();
+        w.index(&mut 12usize, 10).unwrap();
+        assert_eq!(w.len(12, 10), Ok(12));
+        // A duplicate map key is refused.
+        let mut w = Writer::default();
+        w.len(2, 2).unwrap();
+        for _ in 0..2 {
+            w.u64(&mut 1).unwrap();
+            w.u32(&mut 9).unwrap();
+        }
         let buf = w.into_vec();
-        let mut r = Reader::new(&buf);
-        assert!(matches!(r.get_len(8), Err(SnapError::Corrupt(_))));
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.get_len(16).unwrap(), 10);
-        assert!(matches!(r.get_exact_len(5), Err(SnapError::Corrupt(_))));
+        assert!(corrupt(
+            Reader::new(&buf).map(&mut HashMap::<u64, u32>::new(), 2)
+        ));
     }
 
     #[test]
     fn file_frame_round_trip() {
         let img = encode_file(0x1234, b"payload bytes");
         assert_eq!(decode_file(&img, 0x1234).unwrap(), b"payload bytes");
+        assert_eq!(img.len(), HEADER_LEN + 13 + TRAILER_LEN);
     }
 
     #[test]
@@ -413,6 +707,10 @@ mod tests {
             decode_file(b"definitely-not-a-snapshot", 0x1234),
             Err(SnapError::BadMagic)
         );
+        // A crafted payload length whose end overflows `usize`.
+        let mut crafted = img.clone();
+        crafted[20..28].copy_from_slice(&(usize::MAX as u64 - 28).to_le_bytes());
+        assert_eq!(decode_file(&crafted, 0x1234), Err(SnapError::Truncated));
     }
 
     #[test]

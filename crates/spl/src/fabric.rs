@@ -2,10 +2,11 @@
 //! temporal sharing.
 
 use crate::function::{FunctionKind, SplFunction};
-use crate::queue::{InputQueue, OutputQueue};
+use crate::queue::{InputQueue, OutputQueue, SealedEntry};
 use crate::row::RowModel;
 use remap_fault::{Roller, SiteCfg, SiteCounters};
-use std::collections::HashMap;
+use remap_snap::{SnapError, Visit, Visitor};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -48,26 +49,20 @@ impl SplFault {
     pub fn counters(&self) -> SiteCounters {
         self.counters
     }
+}
 
-    /// Serializes the dynamic fault-stream state (checkpoint support). The
-    /// site configuration is rebuilt from the fault plan on restore.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_u64(self.roller.event());
-        w.put_u64(self.counters.injected);
-        w.put_u64(self.counters.detected);
-        w.put_u64(self.counters.recovered);
-        w.put_u64(self.counters.silent);
-    }
-
-    /// Restores state written by [`SplFault::save_state`] onto a stream
-    /// freshly built from the same fault plan.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        self.roller.set_event(r.get_u64()?);
-        self.counters.injected = r.get_u64()?;
-        self.counters.detected = r.get_u64()?;
-        self.counters.recovered = r.get_u64()?;
-        self.counters.silent = r.get_u64()?;
-        Ok(())
+/// Checkpoint support: the dynamic fault-stream state. The site
+/// configuration is rebuilt from the fault plan on restore.
+impl Visit for SplFault {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let c = &mut self.counters;
+        v.u64s([
+            self.roller.event_mut(),
+            &mut c.injected,
+            &mut c.detected,
+            &mut c.recovered,
+            &mut c.silent,
+        ])
     }
 }
 
@@ -149,6 +144,11 @@ pub struct SplStats {
     pub results_delivered: u64,
 }
 
+remap_snap::visit_fields!(
+    SplStats: compute_ops, barrier_ops, row_activations, stall_rows, stall_output_full,
+    results_delivered
+);
+
 /// Errors returned by [`Spl::request`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestError {
@@ -190,6 +190,12 @@ enum Dests {
     Many(Vec<usize>),
 }
 
+impl Default for Dests {
+    fn default() -> Dests {
+        Dests::One(0)
+    }
+}
+
 impl Dests {
     fn as_slice(&self) -> &[usize] {
         match self {
@@ -199,7 +205,7 @@ impl Dests {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Inflight {
     done_at: u64,
     result: u64,
@@ -216,7 +222,7 @@ struct PartState {
     inflight: Vec<Inflight>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 struct ReleasedBarrier {
     cfg: u16,
     participants: Vec<usize>,
@@ -230,7 +236,7 @@ struct ReleasedBarrier {
 /// the `spl_load` / `spl_init` / `spl_store` instructions.
 pub struct Spl {
     cfg: SplConfig,
-    funcs: HashMap<u16, SplFunction>,
+    funcs: BTreeMap<u16, SplFunction>,
     inputs: Vec<InputQueue>,
     outputs: Vec<OutputQueue>,
     parts: Vec<PartState>,
@@ -290,7 +296,7 @@ impl Spl {
             rr: 0,
             stats: SplStats::default(),
             fault: None,
-            funcs: HashMap::new(),
+            funcs: BTreeMap::new(),
             cfg,
         }
     }
@@ -325,7 +331,7 @@ impl Spl {
         self.funcs.get(&id)
     }
 
-    /// Iterates over all registered configurations.
+    /// Iterates over all registered configurations, in id order.
     pub fn functions(&self) -> impl Iterator<Item = (u16, &SplFunction)> {
         self.funcs.iter().map(|(&id, f)| (id, f))
     }
@@ -535,7 +541,7 @@ impl Spl {
         };
         let cfg_id = head.cfg;
         let dest = head.dest_core;
-        let func = self.funcs.get(&cfg_id).expect("validated at request");
+        let func = self.funcs.get_mut(&cfg_id).expect("validated at request");
         if func.is_barrier() {
             return; // waits for release + all-heads
         }
@@ -550,9 +556,8 @@ impl Spl {
             return;
         }
         let sealed = self.inputs[core].pop().expect("head exists");
-        let result = match func.kind() {
-            FunctionKind::Compute { eval, .. } => eval(&sealed.entry),
-            FunctionKind::Barrier { .. } => unreachable!("filtered above"),
+        let Some(result) = func.compute_on(&sealed.entry) else {
+            unreachable!("filtered above")
         };
         let ii = self.ii_for(rows);
         let part = &mut self.parts[part_id];
@@ -566,146 +571,6 @@ impl Spl {
             barrier: false,
             rows,
         });
-    }
-
-    /// Serializes all dynamic fabric state (checkpoint support). The
-    /// function registry and geometry are static and are not written —
-    /// a restored fabric must be built with the same configuration and
-    /// registrations.
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.inputs.len());
-        for q in &self.inputs {
-            q.save_state(w);
-        }
-        for q in &self.outputs {
-            q.save_state(w);
-        }
-        w.put_len(self.parts.len());
-        for p in &self.parts {
-            w.put_u64(p.next_issue_at);
-            w.put_len(p.inflight.len());
-            for op in &p.inflight {
-                w.put_u64(op.done_at);
-                w.put_u64(op.result);
-                match &op.dests {
-                    Dests::One(d) => {
-                        w.put_u8(0);
-                        w.put_usize(*d);
-                    }
-                    Dests::Many(v) => {
-                        w.put_u8(1);
-                        w.put_len(v.len());
-                        for &d in v {
-                            w.put_usize(d);
-                        }
-                    }
-                }
-                w.put_usize(op.from);
-                w.put_u16(op.cfg);
-                w.put_bool(op.barrier);
-                w.put_u32(op.rows);
-            }
-        }
-        w.put_len(self.released.len());
-        for rb in &self.released {
-            w.put_u16(rb.cfg);
-            w.put_len(rb.participants.len());
-            for &p in &rb.participants {
-                w.put_usize(p);
-            }
-        }
-        w.put_usize(self.rr);
-        w.put_u64(self.stats.compute_ops);
-        w.put_u64(self.stats.barrier_ops);
-        w.put_u64(self.stats.row_activations);
-        w.put_u64(self.stats.stall_rows);
-        w.put_u64(self.stats.stall_output_full);
-        w.put_u64(self.stats.results_delivered);
-        match &self.fault {
-            None => w.put_bool(false),
-            Some(f) => {
-                w.put_bool(true);
-                f.save_state(w);
-            }
-        }
-    }
-
-    /// Restores state written by [`Spl::save_state`] onto a fabric freshly
-    /// built with identical configuration, registrations, and fault plan.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        r.get_exact_len(self.inputs.len())?;
-        for q in &mut self.inputs {
-            q.load_state(r)?;
-        }
-        for q in &mut self.outputs {
-            q.load_state(r)?;
-        }
-        r.get_exact_len(self.parts.len())?;
-        let n_cores = self.cfg.n_cores;
-        for p in &mut self.parts {
-            p.next_issue_at = r.get_u64()?;
-            // In-flight count is bounded by the reserved output slots.
-            let n = r.get_len(n_cores * self.cfg.output_capacity)?;
-            p.inflight.clear();
-            for _ in 0..n {
-                let done_at = r.get_u64()?;
-                let result = r.get_u64()?;
-                let dests = match r.get_u8()? {
-                    0 => Dests::One(r.get_usize()?),
-                    1 => {
-                        let k = r.get_len(n_cores)?;
-                        let mut v = Vec::with_capacity(k);
-                        for _ in 0..k {
-                            v.push(r.get_usize()?);
-                        }
-                        Dests::Many(v)
-                    }
-                    other => {
-                        return Err(remap_snap::SnapError::Corrupt(format!(
-                            "bad SPL destination tag {other}"
-                        )))
-                    }
-                };
-                p.inflight.push(Inflight {
-                    done_at,
-                    result,
-                    dests,
-                    from: r.get_usize()?,
-                    cfg: r.get_u16()?,
-                    barrier: r.get_bool()?,
-                    rows: r.get_u32()?,
-                });
-            }
-        }
-        let n = r.get_len(1 << 16)?;
-        self.released.clear();
-        for _ in 0..n {
-            let cfg = r.get_u16()?;
-            let k = r.get_len(n_cores)?;
-            let mut participants = Vec::with_capacity(k);
-            for _ in 0..k {
-                participants.push(r.get_usize()?);
-            }
-            self.released.push(ReleasedBarrier { cfg, participants });
-        }
-        self.rr = r.get_usize()?;
-        self.stats.compute_ops = r.get_u64()?;
-        self.stats.barrier_ops = r.get_u64()?;
-        self.stats.row_activations = r.get_u64()?;
-        self.stats.stall_rows = r.get_u64()?;
-        self.stats.stall_output_full = r.get_u64()?;
-        self.stats.results_delivered = r.get_u64()?;
-        let has_fault = r.get_bool()?;
-        if has_fault != self.fault.is_some() {
-            return Err(remap_snap::SnapError::Corrupt(format!(
-                "SPL fault stream presence mismatch (snapshot {has_fault}, fabric {})",
-                self.fault.is_some()
-            )));
-        }
-        if let Some(f) = self.fault.as_deref_mut() {
-            f.load_state(r)?;
-        }
-        Ok(())
     }
 
     fn try_issue_barrier(&mut self, idx: usize, now: u64) -> bool {
@@ -764,6 +629,84 @@ impl Spl {
             rows,
         });
         true
+    }
+}
+
+impl Inflight {
+    /// Visits one in-flight operation; core indices must be below `n`.
+    fn visit<V: Visitor>(&mut self, v: &mut V, n: usize) -> Result<(), SnapError> {
+        v.u64s([&mut self.done_at, &mut self.result])?;
+        let t = v.tag(
+            matches!(self.dests, Dests::Many(_)) as u8,
+            2,
+            "SPL destination",
+        )?;
+        if V::READS {
+            self.dests = if t == 0 {
+                Dests::One(0)
+            } else {
+                Dests::Many(Vec::new())
+            };
+        }
+        match &mut self.dests {
+            Dests::One(d) => v.index(d, n)?,
+            Dests::Many(ds) => v.seq(ds, n, |v, d| v.index(d, n))?,
+        }
+        // The initiating core, or `usize::MAX` for a barrier broadcast.
+        v.usize(&mut self.from)?;
+        if V::READS && self.from >= n && self.from != usize::MAX {
+            return Err(SnapError::Corrupt(format!(
+                "SPL initiator {} out of range",
+                self.from
+            )));
+        }
+        v.u16(&mut self.cfg)?;
+        v.bool(&mut self.barrier)?;
+        v.u32(&mut self.rows)
+    }
+}
+
+/// Checkpoint support: all dynamic fabric state. The function registry and
+/// geometry are static and are not visited — a restored fabric must be
+/// built with the same configuration, registrations, and fault plan. Every
+/// core index read back is bounds-checked, since the tick indexes queues
+/// with it.
+impl Visit for Spl {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        let n = self.cfg.n_cores;
+        v.exact(&mut self.inputs)?;
+        let known = |s: &SealedEntry| {
+            let f = self.funcs.get(&s.cfg);
+            f.is_some_and(|f| f.is_barrier() || s.dest_core < n)
+        };
+        if V::READS && !self.inputs.iter().flat_map(|q| &q.sealed).all(known) {
+            return Err(SnapError::Corrupt(
+                "sealed SPL entry with an unknown configuration or destination".into(),
+            ));
+        }
+        v.each(&mut self.outputs)?;
+        v.exact_len(self.parts.len())?;
+        // In-flight count is bounded by the reserved output slots.
+        let max_inflight = n * self.cfg.output_capacity;
+        for p in &mut self.parts {
+            v.u64(&mut p.next_issue_at)?;
+            v.seq(&mut p.inflight, max_inflight, |v, op| op.visit(v, n))?;
+        }
+        v.seq(&mut self.released, 1 << 16, |v, rb| {
+            v.u16(&mut rb.cfg)?;
+            v.seq(&mut rb.participants, n, |v, p| v.index(p, n))?;
+            if rb.participants.is_empty() {
+                return Err(SnapError::Corrupt("barrier without participants".into()));
+            }
+            Ok(())
+        })?;
+        v.index(&mut self.rr, n.max(1))?;
+        self.stats.visit(v)?;
+        v.present("SPL fault stream", self.fault.as_deref_mut())?;
+        // Row registers of stateful functions, in configuration order.
+        self.funcs
+            .values_mut()
+            .try_for_each(|f| v.each(&mut f.regs))
     }
 }
 
@@ -1007,6 +950,69 @@ mod tests {
         }
         assert_eq!(results, vec![3, 3, 3, 3], "global min broadcast to all");
         assert_eq!(spl.stats().barrier_ops, 1);
+    }
+
+    /// A fabric restored mid-broadcast (a barrier operation in flight, whose
+    /// initiator is `usize::MAX`) and carrying a stateful function's row
+    /// registers continues exactly like the original.
+    #[test]
+    fn visit_restores_in_flight_barrier_and_row_registers() {
+        use remap_snap::{Reader, Writer};
+        let build = || {
+            let mut spl = Spl::new(SplConfig::paper(4));
+            spl.register(
+                2,
+                SplFunction::barrier("gmin", 6, |es| {
+                    es.iter().map(|e| e.u32(0)).min().unwrap_or(0) as u64
+                }),
+            );
+            spl.register(
+                3,
+                SplFunction::stateful("sum", 2, Dest::SelfCore, &[0], |e, acc| {
+                    acc[0] += e.u32(0) as u64;
+                    acc[0]
+                }),
+            );
+            spl
+        };
+        let mut donor = build();
+        for (v, t0) in [(5, 0), (7, 10)] {
+            donor.stage(0, 0, 4, v);
+            donor.request(0, 3, 0).unwrap();
+            for t in t0 + 1..=t0 + 10 {
+                donor.tick(t);
+            }
+        }
+        assert_eq!(donor.pop_output(0), Some(5));
+        assert_eq!(donor.pop_output(0), Some(12));
+        for c in 0..4 {
+            donor.stage(c, 0, 4, 10 + c as u64);
+            donor.request(c, 2, usize::MAX).unwrap();
+        }
+        donor.release_barrier(2, vec![0, 1, 2, 3]);
+        donor.tick(21);
+        assert_eq!(donor.stats().barrier_ops, 0, "broadcast still in flight");
+        let mut w = Writer::default();
+        donor.visit(&mut w).unwrap();
+        let bytes = w.into_vec();
+        let mut restored = build();
+        let mut r = Reader::new(&bytes);
+        restored.visit(&mut r).unwrap();
+        r.finish().unwrap();
+        let mut outputs = Vec::new();
+        for spl in [&mut donor, &mut restored] {
+            spl.stage(0, 0, 4, 1);
+            spl.request(0, 3, 0).unwrap();
+            let mut out = Vec::new();
+            for t in 22..=50 {
+                spl.tick(t);
+                out.extend((0..4).filter_map(|c| spl.pop_output(c).map(|v| (c, v))));
+            }
+            outputs.push(out);
+        }
+        assert_eq!(outputs[0], outputs[1]);
+        assert!(outputs[1].contains(&(0, 13)), "row registers carried over");
+        assert_eq!(outputs[1].iter().filter(|&&(_, v)| v == 10).count(), 4);
     }
 
     #[test]

@@ -77,8 +77,9 @@ pub enum Dest {
     Thread(u32),
 }
 
-/// Semantics of a compute configuration: input entry → 64-bit result.
-pub type ComputeFn = Arc<dyn Fn(&Entry) -> u64 + Send + Sync>;
+/// Semantics of a compute configuration: input entry and the function's
+/// row registers → 64-bit result.
+pub type ComputeFn = Arc<dyn Fn(&Entry, &mut [u64]) -> u64 + Send + Sync>;
 /// Semantics of a barrier configuration: participants' entries → result.
 pub type BarrierFn = Arc<dyn Fn(&[Entry]) -> u64 + Send + Sync>;
 
@@ -89,7 +90,7 @@ pub enum FunctionKind {
     Compute {
         /// Where the result goes.
         dest: Dest,
-        /// Semantics: input entry → 64-bit result.
+        /// Semantics: input entry and row registers → 64-bit result.
         eval: ComputeFn,
     },
     /// Barrier synchronization with an integrated global function
@@ -114,7 +115,8 @@ impl fmt::Debug for FunctionKind {
 }
 
 /// A configured SPL function: a name, the number of virtual rows it needs,
-/// and its semantics.
+/// its semantics, and — for streaming computations — the row registers it
+/// keeps between operations.
 ///
 /// The row count is the *hardware requirement* from which the fabric derives
 /// latency (one SPL cycle per row) and, when it exceeds the physical rows of
@@ -124,6 +126,10 @@ pub struct SplFunction {
     name: String,
     rows: u32,
     kind: FunctionKind,
+    /// Row flip-flop state carried from one operation to the next. Each
+    /// fabric the function is registered on owns its own copy, and
+    /// snapshots carry it.
+    pub(crate) regs: Vec<u64>,
 }
 
 impl SplFunction {
@@ -138,6 +144,23 @@ impl SplFunction {
         dest: Dest,
         eval: impl Fn(&Entry) -> u64 + Send + Sync + 'static,
     ) -> SplFunction {
+        SplFunction::stateful(name, rows, dest, &[], move |e, _| eval(e))
+    }
+
+    /// Creates a compute configuration whose rows keep state between
+    /// operations (a streaming reduction or filter): `regs` are the row
+    /// registers' reset values, which `eval` reads and updates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0`.
+    pub fn stateful(
+        name: impl Into<String>,
+        rows: u32,
+        dest: Dest,
+        regs: &[u64],
+        eval: impl Fn(&Entry, &mut [u64]) -> u64 + Send + Sync + 'static,
+    ) -> SplFunction {
         assert!(rows > 0, "a function needs at least one row");
         SplFunction {
             name: name.into(),
@@ -146,6 +169,7 @@ impl SplFunction {
                 dest,
                 eval: Arc::new(eval),
             },
+            regs: regs.to_vec(),
         }
     }
 
@@ -166,6 +190,7 @@ impl SplFunction {
             kind: FunctionKind::Barrier {
                 eval: Arc::new(eval),
             },
+            regs: Vec::new(),
         }
     }
 
@@ -188,6 +213,20 @@ impl SplFunction {
     /// SPL function configuration).
     pub fn is_barrier(&self) -> bool {
         matches!(self.kind, FunctionKind::Barrier { .. })
+    }
+
+    /// Number of row registers kept between operations.
+    pub fn n_regs(&self) -> usize {
+        self.regs.len()
+    }
+
+    /// Runs a compute configuration on one entry, updating its row
+    /// registers (`None` for a barrier configuration).
+    pub(crate) fn compute_on(&mut self, e: &Entry) -> Option<u64> {
+        match &self.kind {
+            FunctionKind::Compute { eval, .. } => Some(eval(e, &mut self.regs)),
+            FunctionKind::Barrier { .. } => None,
+        }
     }
 }
 
@@ -232,7 +271,7 @@ mod tests {
                 assert_eq!(*dest, Dest::Thread(3));
                 let mut e = Entry::default();
                 e.stage(0, 4, 9);
-                assert_eq!(eval(&e), 9);
+                assert_eq!(eval(&e, &mut []), 9);
             }
             _ => panic!("expected compute"),
         }

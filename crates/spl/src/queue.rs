@@ -2,9 +2,10 @@
 //! Figure 2(b)).
 
 use crate::function::Entry;
+use remap_snap::{SnapError, Visit, Visitor};
 
 /// A sealed input-queue entry awaiting fabric issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SealedEntry {
     /// The staged data with valid bits.
     pub entry: Entry,
@@ -15,12 +16,14 @@ pub struct SealedEntry {
     pub dest_core: usize,
 }
 
+remap_snap::visit_fields!(SealedEntry: entry, cfg, dest_core);
+
 /// A core's SPL input queue: one staging entry under construction plus a
 /// FIFO of sealed entries waiting for the fabric.
 #[derive(Debug, Clone)]
 pub struct InputQueue {
     staging: Entry,
-    sealed: Vec<SealedEntry>,
+    pub(crate) sealed: Vec<SealedEntry>,
     capacity: usize,
     /// Peak occupancy observed (for reports).
     pub peak: usize,
@@ -89,49 +92,18 @@ impl InputQueue {
     pub fn can_seal(&self) -> bool {
         self.sealed.len() < self.capacity
     }
-
-    /// Serializes the queue contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        save_entry(w, &self.staging);
-        w.put_len(self.sealed.len());
-        for s in &self.sealed {
-            save_entry(w, &s.entry);
-            w.put_u16(s.cfg);
-            w.put_usize(s.dest_core);
-        }
-        w.put_usize(self.peak);
-    }
-
-    /// Restores state written by [`InputQueue::save_state`] onto a queue of
-    /// identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        self.staging = load_entry(r)?;
-        let n = r.get_len(self.capacity)?;
-        self.sealed.clear();
-        for _ in 0..n {
-            self.sealed.push(SealedEntry {
-                entry: load_entry(r)?,
-                cfg: r.get_u16()?,
-                dest_core: r.get_usize()?,
-            });
-        }
-        self.peak = r.get_usize()?;
-        Ok(())
-    }
 }
 
-fn save_entry(w: &mut remap_snap::Writer, e: &Entry) {
-    w.put_bytes(&e.bytes);
-    w.put_u16(e.valid);
-}
+remap_snap::visit_fields!(Entry: bytes, valid);
 
-fn load_entry(r: &mut remap_snap::Reader) -> Result<Entry, remap_snap::SnapError> {
-    let mut bytes = [0u8; 16];
-    bytes.copy_from_slice(r.get_bytes(16)?);
-    Ok(Entry {
-        bytes,
-        valid: r.get_u16()?,
-    })
+/// Checkpoint support: the queue contents. The fabric validates the
+/// configuration and destination of each sealed entry.
+impl Visit for InputQueue {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        self.staging.visit(v)?;
+        v.vec(&mut self.sealed, self.capacity)?;
+        v.usize(&mut self.peak)
+    }
 }
 
 /// A core's SPL output queue: results the core pops with `spl_store`.
@@ -210,36 +182,23 @@ impl OutputQueue {
     pub fn is_empty(&self) -> bool {
         self.ready.is_empty()
     }
+}
 
-    /// Serializes the queue contents (checkpoint support).
-    pub fn save_state(&self, w: &mut remap_snap::Writer) {
-        w.put_len(self.ready.len());
-        for &v in &self.ready {
-            w.put_u64(v);
-        }
-        w.put_usize(self.reserved);
-        w.put_usize(self.peak);
-    }
-
-    /// Restores state written by [`OutputQueue::save_state`] onto a queue of
-    /// identical capacity.
-    pub fn load_state(&mut self, r: &mut remap_snap::Reader) -> Result<(), remap_snap::SnapError> {
-        let n = r.get_len(self.capacity)?;
-        self.ready.clear();
-        for _ in 0..n {
-            self.ready.push(r.get_u64()?);
-        }
-        self.reserved = r.get_usize()?;
-        if self.ready.len() + self.reserved > self.capacity {
-            return Err(remap_snap::SnapError::Corrupt(format!(
+/// Checkpoint support: the queue contents, refused on load when ready plus
+/// reserved slots exceed the capacity.
+impl Visit for OutputQueue {
+    fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
+        v.vec(&mut self.ready, self.capacity)?;
+        v.usize(&mut self.reserved)?;
+        if V::READS && self.reserved > self.capacity - self.ready.len() {
+            return Err(SnapError::Corrupt(format!(
                 "output queue over capacity ({} ready + {} reserved > {})",
                 self.ready.len(),
                 self.reserved,
                 self.capacity
             )));
         }
-        self.peak = r.get_usize()?;
-        Ok(())
+        v.usize(&mut self.peak)
     }
 }
 

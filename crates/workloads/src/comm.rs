@@ -462,10 +462,8 @@ impl CommBench {
                 // state (in_word, word count, line count) — a streaming
                 // reduction computed while data flows to the consumer,
                 // which then only drains running totals.
-                let state = std::sync::atomic::AtomicU64::new(0);
-                SplFunction::compute("wc_count8", 8, dest, move |e| {
-                    use std::sync::atomic::Ordering::Relaxed;
-                    let s = state.load(Relaxed);
+                SplFunction::stateful("wc_count8", 8, dest, &[0], |e, state| {
+                    let s = state[0];
                     let mut in_word = s & 1;
                     let mut words = (s >> 1) & 0x7f_ffff;
                     let mut lines = s >> 24;
@@ -476,7 +474,7 @@ impl CommBench {
                         lines += (c == b'\n') as u64;
                         in_word = !is_space as u64;
                     }
-                    state.store(in_word | (words << 1) | (lines << 24), Relaxed);
+                    state[0] = in_word | (words << 1) | (lines << 24);
                     (words & 0xffff) | ((lines & 0xffff) << 16)
                 })
             }

@@ -279,14 +279,13 @@ impl CompBench {
                 // the row flip-flops, updated stage by stage as samples
                 // stream through — successive samples pipeline wavefront
                 // style, exactly like PipeRench streaming filters.
-                let state = std::sync::Mutex::new([0i64; 4]);
-                SplFunction::compute("synth", 14, dest, move |e| {
-                    let mut v = state.lock().expect("single fabric thread");
-                    let (sri, p) = synth_step(e.i32(0) as i64, *v);
-                    v[3] = sat16(v[2] + p[2]);
-                    v[2] = sat16(v[1] + p[1]);
-                    v[1] = sat16(v[0] + p[0]);
-                    v[0] = sri;
+                SplFunction::stateful("synth", 14, dest, &[0; 4], |e, regs| {
+                    let v = [0, 1, 2, 3].map(|i| regs[i] as i64);
+                    let (sri, p) = synth_step(e.i32(0) as i64, v);
+                    regs[3] = sat16(v[2] + p[2]) as u64;
+                    regs[2] = sat16(v[1] + p[1]) as u64;
+                    regs[1] = sat16(v[0] + p[0]) as u64;
+                    regs[0] = sri as u64;
                     (sri as u64) & 0xffff
                 })
             }

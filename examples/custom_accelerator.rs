@@ -69,14 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 30-row function on a 24-row fabric: virtualized execution
     // (initiation interval 2) — it still runs, just at reduced throughput.
     // The checksum state lives in the fabric's flip-flops.
-    let state = std::sync::atomic::AtomicU64::new(0xffff_ffff);
     b.register_spl(
         1,
-        SplFunction::compute("crc", 30, Dest::Thread(1), move |e| {
-            use std::sync::atomic::Ordering::Relaxed;
-            let acc = crc_step(state.load(Relaxed), e.u32(0) as u64);
-            state.store(acc, Relaxed);
-            acc
+        SplFunction::stateful("crc", 30, Dest::Thread(1), &[0xffff_ffff], |e, acc| {
+            acc[0] = crc_step(acc[0], e.u32(0) as u64);
+            acc[0]
         }),
     );
 

@@ -14,6 +14,10 @@
 //! `skipped_cycles` (a resumed run re-plans its bulk skips from the
 //! restore point, so skip *accounting* legitimately differs while every
 //! architectural statistic must not) and `wall_seconds` (host timing).
+//! Beyond the reports, per-component state digests must match: on every
+//! component between a restored system and its donor right after the
+//! restore, and on every component but the skip bookkeeping between the
+//! uninterrupted and the resumed run at completion.
 
 use remap_suite::system::{RunReport, System};
 use remap_suite::workloads::barriers::{BarrierBench, BarrierMode};
@@ -83,6 +87,27 @@ fn assert_same_observables(label: &str, a: &System, ra: &RunReport, b: &System, 
     assert_eq!(ra.dir, rb.dir, "{label}: directory counters diverged");
 }
 
+/// Asserts two state digests agree on every component except `skip` (when
+/// `skip_may_differ`); a mismatch names the diverging components.
+fn assert_same_digest(
+    label: &str,
+    a: &[(String, u64)],
+    b: &[(String, u64)],
+    skip_may_differ: bool,
+) {
+    assert_eq!(a.len(), b.len(), "{label}: state digest geometry");
+    let diff: Vec<&str> = a
+        .iter()
+        .zip(b)
+        .filter(|(x, y)| x != y && !(skip_may_differ && x.0 == "skip"))
+        .map(|(x, _)| x.0.as_str())
+        .collect();
+    assert!(
+        diff.is_empty(),
+        "{label}: state digest diverged in {diff:?}"
+    );
+}
+
 /// The checkpoint contract for one configuration. `reference` runs
 /// uninterrupted; `donor` runs to each cut cycle and is snapshotted; each
 /// snapshot restores into one of the `fresh` (never-run) systems, which
@@ -98,6 +123,7 @@ fn assert_checkpoint_parity(
     let rr = reference
         .run(MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{label} (reference) failed: {e:?}"));
+    let final_digest = reference.state_digest();
     let slices = fresh.len() as u64 + 1;
     let mut resumed_skipped = 0;
     for (k, mut f) in fresh.into_iter().enumerate() {
@@ -114,16 +140,22 @@ fn assert_checkpoint_parity(
         let snap = donor.snapshot();
         f.restore(&snap)
             .unwrap_or_else(|e| panic!("{label}: restore at cycle {cut} refused: {e}"));
+        let at_cut = format!("{label} restored@{cut}");
+        assert_same_digest(&at_cut, &donor.state_digest(), &f.state_digest(), false);
         let rf = f
             .run(MAX_CYCLES)
             .unwrap_or_else(|e| panic!("{label} (resumed from {cut}) failed: {e:?}"));
         resumed_skipped += rf.skipped_cycles;
-        assert_same_observables(&format!("{label} cut@{cut}"), &reference, &rr, &f, &rf);
+        let resumed = format!("{label} cut@{cut}");
+        assert_same_observables(&resumed, &reference, &rr, &f, &rf);
+        assert_same_digest(&resumed, &final_digest, &f.state_digest(), true);
     }
     let rd = donor
         .run(MAX_CYCLES)
         .unwrap_or_else(|e| panic!("{label} (donor continue) failed: {e:?}"));
-    assert_same_observables(&format!("{label} donor"), &reference, &rr, &donor, &rd);
+    let continued = format!("{label} donor");
+    assert_same_observables(&continued, &reference, &rr, &donor, &rd);
+    assert_same_digest(&continued, &final_digest, &donor.state_digest(), true);
     resumed_skipped
 }
 
@@ -251,6 +283,73 @@ fn grid_checkpoint_parity_16_36_64_cores() {
             build(),
             build(),
             vec![build()],
+        );
+    }
+}
+
+/// Pins the snapshot layout: the FNV-1a of the framed snapshot at a fixed
+/// cut, for one configuration of each workload family, a faulted run, and a
+/// 16-core grid. Any payload layout change must update these values and
+/// bump `FORMAT_VERSION` together — older files must be refused, never
+/// misread.
+#[test]
+fn snapshot_format_is_pinned() {
+    use remap_suite::fault::{FaultPlan, SiteCfg};
+
+    assert_eq!(remap_snap::FORMAT_VERSION, 1);
+    let comp = |name: &str| *CompBench::ALL.iter().find(|b| b.name() == name).unwrap();
+    let comm = |name: &str| *CommBench::ALL.iter().find(|b| b.name() == name).unwrap();
+    let mut plan = FaultPlan::quiet(0xFA_17);
+    plan.spl_bitflip = SiteCfg::rate(50_000);
+    plan.hwq_drop = SiteCfg::rate(50_000);
+    plan.hwq_dup = SiteCfg::rate(25_000);
+    plan.hwq_delay = SiteCfg::rate(25_000);
+    plan.cache_corrupt = SiteCfg::rate(50_000);
+    let faulted = {
+        let mut s = comm("hmmer").build(CommMode::CompComm2T, 64);
+        s.set_fault_plan(&plan);
+        s
+    };
+    let pins: [(&str, System, usize, u64); 5] = [
+        (
+            "mpeg2dec Spl",
+            comp("mpeg2dec").build(CompMode::Spl, 64),
+            605_023,
+            0x46ef_03cf_2bfb_ee62,
+        ),
+        (
+            "hmmer CompComm2T",
+            comm("hmmer").build(CommMode::CompComm2T, 64),
+            1_208_295,
+            0xa464_9741_053e_b899,
+        ),
+        (
+            "Ll3 RemapComp(4)",
+            BarrierBench::Ll3.build(BarrierMode::RemapComp(4), 32),
+            2_411_170,
+            0x193a_93de_42df_2554,
+        ),
+        (
+            "hmmer CompComm2T faulted",
+            faulted,
+            1_209_074,
+            0x6399_128b_eb7b_a86b,
+        ),
+        (
+            "Ll3 Remap(16)",
+            BarrierBench::Ll3.build(BarrierMode::Remap(16), 64),
+            9_587_783,
+            0x788b_cd70_5609_a59c,
+        ),
+    ];
+    for (label, mut sys, len, fnv) in pins {
+        assert!(sys.run_until(500), "{label}: halted before the cut");
+        let snap = sys.snapshot();
+        assert_eq!(snap.as_bytes().len(), len, "{label}: snapshot length");
+        assert_eq!(
+            remap_snap::fnv1a(snap.as_bytes()),
+            fnv,
+            "{label}: snapshot bytes changed; bump FORMAT_VERSION with the pins"
         );
     }
 }
