@@ -6,6 +6,7 @@ use remap::{CoreKind, SystemBuilder};
 use remap_isa::{Asm, Reg::*};
 use remap_mem::{Cache, CacheConfig, FlatMem, Hierarchy, HierarchyConfig, Mesi, PC_NONE};
 use remap_spl::{Dest, Spl, SplConfig, SplFunction};
+use remap_workloads::barriers::{BarrierBench, BarrierMode};
 use std::hint::black_box;
 
 fn loop_program(n: i32) -> remap_isa::Program {
@@ -290,6 +291,15 @@ fn bench_sim_throughput(c: &mut Criterion) {
             sb.add_core(CoreKind::Ooo1, loop_program(4000));
             let mut sys = sb.build();
             black_box(sys.run(1_000_000).unwrap().cycles)
+        })
+    });
+    // The many-core path: on a 64-core grid most cores sit parked at each
+    // SPL barrier while stragglers compute, so this run is dominated by the
+    // issue walk of the busy cores and the idle path of the parked ones.
+    c.bench_function("system_grid64_barrier_run", |b| {
+        b.iter(|| {
+            let mut sys = BarrierBench::Ll6.build(BarrierMode::Remap(64), 64);
+            black_box(sys.run(50_000_000).unwrap().cycles)
         })
     });
 }

@@ -952,8 +952,9 @@ pub struct System {
     probe_hint: usize,
     /// Per-core cached quiescence window `(epoch, wake)`: while `env.epoch`
     /// still equals `epoch` and `env.cycle < wake`, the core's step is
-    /// provably inert and is replaced by `Core::skip_cycles(1)`. `wake == 0`
-    /// marks the window invalid.
+    /// provably inert and is not taken; the core's counters lag the clock
+    /// until [`settle`] catches them up. `wake == 0` marks the window
+    /// invalid.
     core_quiet: Vec<(u64, u64)>,
     /// Consecutive real steps of each core that committed nothing; a window
     /// probe is only attempted once this passes a small threshold.
@@ -962,6 +963,17 @@ pub struct System {
     /// failed probe.
     core_next_probe: Vec<u64>,
     env: Env,
+}
+
+/// Lazy idle accounting: a core in a quiescence window or a bulk skip is not
+/// touched while the clock moves on, so its counters lag `now`. One
+/// [`Core::skip_cycles`] over the lag settles it exactly as per-cycle calls
+/// would have: the window is inert, so the replicated counters are linear in
+/// its length. Halted cores stay at their halt cycle.
+fn settle(core: &mut Core, now: u64) {
+    if !core.halted() && core.cycle() < now {
+        core.skip_cycles(now - core.cycle());
+    }
 }
 
 /// Reads the `REMAP_NO_SKIP` escape hatch once at system construction.
@@ -1040,6 +1052,23 @@ impl System {
     /// Advances the whole system by one core cycle. Returns `false` once
     /// every core has halted.
     pub fn step(&mut self) -> bool {
+        let any = self.step_lazy();
+        self.settle_all();
+        any
+    }
+
+    /// Settles every running core's lagging counters (see [`settle`]).
+    /// Every public entry point that advances the clock ends with this, so
+    /// no public reader ever sees a lag.
+    fn settle_all(&mut self) {
+        for &id in &self.running {
+            settle(&mut self.cores[id], self.env.cycle);
+        }
+    }
+
+    /// [`System::step`] without the final settlement: cores in a valid
+    /// quiescence window are left lagging.
+    fn step_lazy(&mut self) -> bool {
         self.env.cycle += 1;
         // A fault backoff expiring this cycle is probe-visible (a parked
         // sender becomes ready): bump the epoch so cached core windows die,
@@ -1083,11 +1112,11 @@ impl System {
         // folding each core's newly committed instructions into the
         // incrementally maintained total.
         //
-        // A core holding a valid quiescence window takes the arithmetic
-        // idle-tick fast path instead of a full pipeline step. Windows are
-        // established lazily (after a few commit-less real steps) and die on
-        // the core's next real step or on any probe-visible communication
-        // mutation (`env.epoch`). Because cores step in list order and every
+        // A core holding a valid quiescence window is not touched at all
+        // (its counters lag until settled) instead of taking a full
+        // pipeline step. Windows are established lazily (after a few
+        // commit-less real steps) and die on the core's next real step or
+        // on any probe-visible communication mutation (`env.epoch`). Because cores step in list order and every
         // such mutation bumps the epoch before later slots run, a fast-pathed
         // core can never miss state it would have observed when ticked.
         const CORE_PROBE_STREAK: u32 = 3;
@@ -1098,13 +1127,13 @@ impl System {
             let id = self.running[r];
             let (qep, qwake) = self.core_quiet[id];
             if self.skip_enabled && qwake != 0 && qep == self.env.epoch && self.env.cycle < qwake {
-                self.cores[id].skip_cycles(1);
                 self.running[w] = id;
                 w += 1;
                 any = true;
                 continue;
             }
             self.core_quiet[id].1 = 0;
+            settle(&mut self.cores[id], self.env.cycle - 1);
             let still_running = self.cores[id].step(&mut self.env);
             let committed = self.cores[id].stats().committed;
             let progressed = committed != self.last_committed[id];
@@ -1171,9 +1200,12 @@ impl System {
         // still the busy one, so checking it first turns the common failed
         // probe into a single core scan instead of `n`. (A halted hint core
         // reports `Some(u64::MAX)` and falls through to the full scan.)
+        // Each core is settled just before its probe, which reads its cycle.
+        settle(&mut self.cores[self.probe_hint], now);
         self.cores[self.probe_hint].next_event(&self.env)?;
         let mut wake = u64::MAX;
         for &id in &self.running {
+            settle(&mut self.cores[id], now);
             match self.cores[id].next_event(&self.env) {
                 Some(w) => wake = wake.min(w),
                 None => {
@@ -1227,14 +1259,12 @@ impl System {
     /// Bulk-advances the system to `target` without simulating the
     /// intervening cycles. Caller must have established (via
     /// [`System::quiescent_wake`]) that every cycle in `(env.cycle, target]`
-    /// is inert.
+    /// is inert. The cores' per-cycle counters are left to lag and are
+    /// settled lazily (see [`settle`]).
     fn skip_to(&mut self, target: u64) {
         let from = self.env.cycle;
         debug_assert!(target > from);
         let delta = target - from;
-        for &id in &self.running {
-            self.cores[id].skip_cycles(delta);
-        }
         // Idle SPL edges crossed by the jump still rotate the fabric's
         // round-robin pointer; replicate that arithmetically.
         let edges = target / SPL_CLOCK_DIVISOR - from / SPL_CLOCK_DIVISOR;
@@ -1252,6 +1282,13 @@ impl System {
     /// (clamped to `limit`), then executes one normal [`System::step`].
     /// With skipping disabled this is exactly `step`.
     pub fn step_or_skip(&mut self, limit: u64) -> bool {
+        let any = self.step_or_skip_lazy(limit);
+        self.settle_all();
+        any
+    }
+
+    /// [`System::step_or_skip`] without the final settlement.
+    fn step_or_skip_lazy(&mut self, limit: u64) -> bool {
         if self.skip_enabled {
             if let Some(wake) = self.quiescent_wake() {
                 let target = wake.min(limit);
@@ -1260,7 +1297,7 @@ impl System {
                 }
             }
         }
-        self.step()
+        self.step_lazy()
     }
 
     /// Runs until every core halts or `max_cycles` elapse.
@@ -1316,7 +1353,6 @@ impl System {
         max_cycles: u64,
         ckpt: Option<(u64, &std::path::Path)>,
     ) -> Result<RunReport, RunError> {
-        const STALL_WINDOW: u64 = 200_000;
         // Debug builds run the static verifier before simulating and report
         // (but do not fail on) protocol errors: some tests intentionally
         // violate the protocol to exercise runtime deadlock detection.
@@ -1333,6 +1369,29 @@ impl System {
                 );
             }
         }
+        let wall_start = std::time::Instant::now();
+        let run = self.run_loop(max_cycles, ckpt);
+        self.settle_all();
+        run?;
+        Ok(RunReport {
+            cycles: self.env.cycle,
+            skipped_cycles: self.skipped_cycles,
+            core_stats: self.cores.iter().map(|c| c.stats().clone()).collect(),
+            faults: self.fault_report(),
+            mlp: self.env.hier.mlp_stats(),
+            dir: self.env.hier.dir_stats(),
+            wall_seconds: wall_start.elapsed().as_secs_f64(),
+        })
+    }
+
+    /// The lazy run loop behind [`System::run_ckpt`]: returns with parked
+    /// cores unsettled.
+    fn run_loop(
+        &mut self,
+        max_cycles: u64,
+        ckpt: Option<(u64, &std::path::Path)>,
+    ) -> Result<(), RunError> {
+        const STALL_WINDOW: u64 = 200_000;
         // After a probe finds some component busy, hold off re-probing for a
         // few cycles: during a busy-but-not-committing stretch every probe
         // fails, and a failed probe costs about as much as a step. The
@@ -1341,7 +1400,6 @@ impl System {
         // Purely a scheduling heuristic: it decides *when* to look for a
         // skip, never what a skip does, so bit-parity is unaffected.
         const PROBE_BACKOFF: u64 = 4;
-        let wall_start = std::time::Instant::now();
         // The stall window counts from the most recent commit anywhere, not
         // from run() entry: a run resumed from a snapshot (or continued
         // after run_until) declares a deadlock at exactly the same cycle an
@@ -1384,7 +1442,7 @@ impl System {
                     }
                 }
             }
-            self.step();
+            self.step_lazy();
             // A port operation may have recorded a structured error (bad
             // configuration, fault escalation): abort with it immediately.
             if let Some(e) = self.env.run_error.take() {
@@ -1417,15 +1475,7 @@ impl System {
                 }
             }
         }
-        Ok(RunReport {
-            cycles: self.env.cycle,
-            skipped_cycles: self.skipped_cycles,
-            core_stats: self.cores.iter().map(|c| c.stats().clone()).collect(),
-            faults: self.fault_report(),
-            mlp: self.env.hier.mlp_stats(),
-            dir: self.env.hier.dir_stats(),
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-        })
+        Ok(())
     }
 
     /// Advances to cycle `target` (or until every core halts, or a port
@@ -1436,8 +1486,9 @@ impl System {
     /// [`System::snapshot`] it.
     pub fn run_until(&mut self, target: u64) -> bool {
         while !self.all_halted() && self.env.cycle < target && self.env.run_error.is_none() {
-            self.step_or_skip(target);
+            self.step_or_skip_lazy(target);
         }
+        self.settle_all();
         !self.all_halted()
     }
 
@@ -1706,6 +1757,7 @@ impl System {
     /// ([`System::restore`]) continues the run bit-identically: same
     /// results, same cycle counts, same statistics, same fault sequence.
     pub fn snapshot(&mut self) -> Snapshot {
+        self.settle_all();
         let mut w = Writer::default();
         // Encoding cannot fail: every check in the visitor is decode-only.
         let _ = self.visit(&mut w);
@@ -1753,6 +1805,7 @@ impl System {
     /// payload bytes, so a divergence names the component it starts in.
     /// Takes `&mut self` for the same reason as [`System::snapshot`].
     pub fn state_digest(&mut self) -> Vec<(String, u64)> {
+        self.settle_all();
         let mut h = Hasher::default();
         // Hashing cannot fail: every check in the visitor is decode-only.
         let _ = self.visit(&mut h);

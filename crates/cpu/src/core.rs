@@ -51,15 +51,24 @@ enum Status {
     Done,
 }
 
-/// Compact per-entry walk tag mirroring `RobEntry::status` and `in_iq`:
-/// the issue and writeback walks scan these one-byte tags (the whole ROB
-/// fits in a cache line) and touch the ~112-byte entries only on a match.
+/// Compact per-entry walk tag mirroring `RobEntry::status` and `in_iq`,
+/// plus two bits derived from the entry: the issue walk and the quiescence
+/// probe scan these one-byte tags (the whole ROB fits in a cache line) and
+/// touch the ~112-byte entries only on a match.
 mod tag {
     pub const WAITING: u8 = 0;
     pub const EXECUTING: u8 = 1;
     pub const DONE: u8 = 2;
     /// Set while the entry holds an issue-queue slot (`in_iq`).
     pub const IQ: u8 = 0b100;
+    /// Derived: an issue candidate — waiting, in the issue queue, not an
+    /// at-head-only operation, with both sources ready. Implies
+    /// `WAITING | IQ`.
+    pub const READY: u8 = 0b1000;
+    /// Derived: a waiting load.
+    pub const LOAD: u8 = 0b1_0000;
+    /// The bits a snapshot carries; the derived ones are re-derived.
+    pub const PAYLOAD: u8 = 0b111;
 }
 
 #[derive(Debug, Default, Clone)]
@@ -208,12 +217,12 @@ pub struct Core {
     regs: [i64; Reg::COUNT],
     map: [Option<u64>; Reg::COUNT],
     /// Reorder buffer, oldest at the front. A ring buffer so commit can
-    /// retire from the head without shifting the (large) entries; entries
-    /// are strictly ordered by `seq`, which keeps producer lookups a binary
-    /// search instead of a linear scan.
+    /// retire from the head without shifting the (large) entries; seqs are
+    /// contiguous from the front, so the entry of a seq is found by index
+    /// arithmetic ([`Core::rob_index_of`]).
     rob: VecDeque<RobEntry>,
     /// One walk tag per ROB entry (see [`tag`]), kept in lockstep with
-    /// `rob` by dispatch/issue/writeback/commit/squash.
+    /// `rob` by dispatch/wakeup/issue/writeback/commit/squash.
     rob_tags: VecDeque<u8>,
     /// Issue-queue occupancy (int, fp), maintained incrementally so
     /// dispatch and the quiescence probe do not rescan the ROB every cycle.
@@ -399,7 +408,7 @@ impl Core {
         // Commit: what the ROB head would do next cycle.
         if let Some(e) = self.rob.front() {
             match e.status {
-                Status::Executing(_) => {} // covered by the ROB scan below
+                Status::Executing(_) => {} // covered by the writeback scan below
                 Status::Waiting if e.inst.is_at_head_only() => {
                     if e.head_done {
                         if next >= e.head_busy_until {
@@ -438,7 +447,7 @@ impl Core {
                         }
                     }
                 }
-                Status::Waiting => {} // waiting to issue; the ROB scan decides
+                Status::Waiting => {} // waiting to issue; the issue scan decides
                 Status::Done => match e.inst {
                     Inst::Halt => {
                         if self.store_buf.is_empty() {
@@ -465,63 +474,68 @@ impl Core {
             }
         }
 
-        // Writeback and issue: completions land at their timestamps; a ready
-        // waiting entry issues immediately unless gated by a busy divider or
-        // a blocked load (whose unblocking is itself a core event).
-        for (i, e) in self.rob.iter().enumerate() {
-            match e.status {
-                Status::Executing(t) => {
-                    if t <= next {
+        // Writeback: completions land at their timestamps.
+        let front = self.rob.front().map_or(0, |e| e.seq);
+        for &seq in &self.exec_seqs {
+            let Status::Executing(t) = self.rob[(seq - front) as usize].status else {
+                unreachable!("exec_seqs entry not executing");
+            };
+            if t <= next {
+                return None;
+            }
+            wake = wake.min(t);
+        }
+
+        // Issue: a candidate issues immediately unless gated by a busy
+        // divider or a blocked load (whose unblocking is itself a core
+        // event). Loads behind the memory-order gate are blocked outright.
+        let mut gate = None;
+        let mut from = 0;
+        while let Some(i) = next_ready(&self.rob_tags, from) {
+            from = i + 1;
+            if self.behind_gate(&mut gate, i, self.rob_tags[i]) {
+                continue;
+            }
+            let e = &self.rob[i];
+            match e.inst.class() {
+                InstClass::IntDiv => {
+                    if self.int_div_free_at <= next {
                         return None;
                     }
-                    wake = wake.min(t);
+                    wake = wake.min(self.int_div_free_at);
                 }
-                Status::Waiting if e.in_iq && !e.inst.is_at_head_only() => {
-                    if !e.src.iter().all(|s| matches!(s, Src::Ready(_))) {
-                        continue;
-                    }
-                    match e.inst.class() {
-                        InstClass::IntDiv => {
-                            if self.int_div_free_at <= next {
-                                return None;
-                            }
-                            wake = wake.min(self.int_div_free_at);
+                InstClass::Fp
+                    if matches!(
+                        e.inst,
+                        Inst::Fp {
+                            op: remap_isa::FpOp::Div,
+                            ..
                         }
-                        InstClass::Fp
-                            if matches!(
-                                e.inst,
-                                Inst::Fp {
-                                    op: remap_isa::FpOp::Div,
-                                    ..
-                                }
-                            ) =>
-                        {
-                            if self.fp_div_free_at <= next {
-                                return None;
-                            }
-                            wake = wake.min(self.fp_div_free_at);
-                        }
-                        InstClass::Load => match self.load_check(i) {
-                            LoadPath::Blocked => {}
-                            LoadPath::Memory(addr) => {
-                                // A miss the hierarchy would refuse (MSHR
-                                // file full) is not progress; the file's
-                                // earliest fill completion is the wake.
-                                if ports.load_ready(self.id, addr) {
-                                    return None;
-                                }
-                                let w = ports.load_wake(self.id);
-                                if w <= next {
-                                    return None;
-                                }
-                                wake = wake.min(w);
-                            }
-                            LoadPath::Forward(_) => return None,
-                        },
-                        _ => return None,
+                    ) =>
+                {
+                    if self.fp_div_free_at <= next {
+                        return None;
                     }
+                    wake = wake.min(self.fp_div_free_at);
                 }
-                _ => {}
+                InstClass::Load => match self.load_check(i) {
+                    LoadPath::Blocked => {}
+                    LoadPath::Memory(addr) => {
+                        // A miss the hierarchy would refuse (MSHR file
+                        // full) is not progress; the file's earliest fill
+                        // completion is the wake.
+                        if ports.load_ready(self.id, addr) {
+                            return None;
+                        }
+                        let w = ports.load_wake(self.id);
+                        if w <= next {
+                            return None;
+                        }
+                        wake = wake.min(w);
+                    }
+                    LoadPath::Forward(_) => return None,
+                },
+                _ => return None,
             }
         }
 
@@ -821,14 +835,24 @@ impl Core {
         (int, fp)
     }
 
-    /// The walk tag a ROB entry should currently carry (debug checking).
+    /// The walk tag a ROB entry should currently carry.
     fn tag_of(e: &RobEntry) -> u8 {
         let kind = match e.status {
             Status::Waiting => tag::WAITING,
             Status::Executing(_) => tag::EXECUTING,
             Status::Done => tag::DONE,
         };
-        kind | if e.in_iq { tag::IQ } else { 0 }
+        let mut t = kind | if e.in_iq { tag::IQ } else { 0 };
+        if e.status == Status::Waiting {
+            let ready = e.src.iter().all(|s| matches!(s, Src::Ready(_)));
+            if e.in_iq && ready && !e.inst.is_at_head_only() {
+                t |= tag::READY;
+            }
+            if e.inst.class() == InstClass::Load {
+                t |= tag::LOAD;
+            }
+        }
+        t
     }
 
     /// Whether every walk tag matches its ROB entry (debug checking).
@@ -889,6 +913,7 @@ impl Core {
             debug_assert_eq!(c.src[slot], Src::Wait(pseq), "stale wakeup link");
             c.src[slot] = Src::Ready(v);
             link = std::mem::replace(&mut c.next_waiter[slot], NO_WAITER);
+            self.rob_tags[ci] = Self::tag_of(c);
         }
     }
 
@@ -1039,26 +1064,30 @@ impl Core {
         let lat = self.cfg.lat;
         let cycle = self.cycle;
 
-        // Walk the compact tags; only waiting entries that hold an IQ slot
-        // are issue candidates, and everything else is skipped without
-        // touching the ROB entry itself.
+        // Walk the compact tags; only `READY` entries are issue candidates,
+        // and everything else is skipped, eight tags per word, without
+        // touching the ROB entry. A load younger than the memory-order gate
+        // is skipped the same way: `load_check` could only answer `Blocked`
+        // for it. The gate is found at the first candidate load and again
+        // after the store it names issues (and so gets its address) earlier
+        // in this walk.
+        let mut gate = None;
         let mut tags = std::mem::take(&mut self.rob_tags);
-        for (i, t) in tags.iter_mut().enumerate() {
-            if issued >= self.cfg.issue_width {
+        let mut from = 0;
+        while issued < self.cfg.issue_width {
+            let Some(i) = next_ready(&tags, from) else {
                 break;
-            }
-            if *t != (tag::WAITING | tag::IQ) {
+            };
+            from = i + 1;
+            if self.behind_gate(&mut gate, i, tags[i]) {
+                debug_assert_eq!(
+                    self.load_check(i),
+                    LoadPath::Blocked,
+                    "gated load could issue"
+                );
                 continue;
             }
             let e = &self.rob[i];
-            debug_assert!(e.in_iq && e.status == Status::Waiting);
-            if e.inst.is_at_head_only() {
-                continue; // handled at commit
-            }
-            let ready = e.src.iter().all(|s| matches!(s, Src::Ready(_)));
-            if !ready {
-                continue;
-            }
             let class = e.inst.class();
             // Functional-unit availability.
             let fu_ok = match class {
@@ -1111,7 +1140,7 @@ impl Core {
                         e.value = v;
                         let done_at = cycle + lat.agu as u64 + 1;
                         e.status = Status::Executing(done_at);
-                        *t = tag::EXECUTING | tag::IQ;
+                        tags[i] = tag::EXECUTING | tag::IQ;
                         self.exec_seqs.push(e.seq);
                         self.exec_next_done = self.exec_next_done.min(done_at);
                         ldst_units -= 1;
@@ -1146,7 +1175,7 @@ impl Core {
                         e.value = v;
                         let done_at = cycle + (lat.agu + mlat) as u64;
                         e.status = Status::Executing(done_at);
-                        *t = tag::EXECUTING | tag::IQ;
+                        tags[i] = tag::EXECUTING | tag::IQ;
                         self.exec_seqs.push(e.seq);
                         self.exec_next_done = self.exec_next_done.min(done_at);
                         ldst_units -= 1;
@@ -1229,6 +1258,9 @@ impl Core {
                     e.value = b;
                     done_at = cycle + lat.agu as u64;
                     ldst_units -= 1;
+                    if gate == Some(e.seq) {
+                        gate = None; // the gate store now has its address
+                    }
                 }
                 Inst::SplLoad { .. } | Inst::HwqSend { .. } => {
                     // Reads its operand; the queue push happens at commit.
@@ -1239,7 +1271,7 @@ impl Core {
                 other => unreachable!("unexpected instruction in issue: {other}"),
             }
             self.rob[i].status = Status::Executing(done_at);
-            *t = tag::EXECUTING | tag::IQ;
+            tags[i] = tag::EXECUTING | tag::IQ;
             self.exec_seqs.push(self.rob[i].seq);
             self.exec_next_done = self.exec_next_done.min(done_at);
             issued += 1;
@@ -1253,6 +1285,36 @@ impl Core {
             Src::Ready(v) => v,
             Src::Wait(_) => panic!("src not ready"),
         }
+    }
+
+    /// The memory-order gate: the seq of the oldest in-flight entry that
+    /// blocks every younger load — an unretired fence, atomic or hardware
+    /// barrier, or a store whose address is still unknown (`u64::MAX` when
+    /// there is none). [`Core::load_check`] answers `Blocked` for every load
+    /// younger than it.
+    fn load_gate(&self) -> u64 {
+        let Some(front) = self.rob.front().map(|e| e.seq) else {
+            return u64::MAX;
+        };
+        self.mem_seqs
+            .iter()
+            .copied()
+            .find(|&mseq| {
+                let e = &self.rob[(mseq - front) as usize];
+                !matches!(e.inst, Inst::Sw { .. } | Inst::Sb { .. }) || e.mem_addr.is_none()
+            })
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Whether the entry at ROB index `i`, carrying walk tag `t`, is a load
+    /// younger than the memory-order gate. `gate` caches the gate for one
+    /// walk (`None` until first needed); the entry itself is not touched.
+    fn behind_gate(&self, gate: &mut Option<u64>, i: usize, t: u8) -> bool {
+        if t & tag::LOAD == 0 {
+            return false;
+        }
+        let seq = self.rob.front().map_or(0, |e| e.seq) + i as u64;
+        seq > *gate.get_or_insert_with(|| self.load_gate())
     }
 
     /// Memory-disambiguation check for the load at ROB index `i`.
@@ -1671,6 +1733,35 @@ impl Core {
     }
 }
 
+/// Index of the first walk tag at or after `from` with `READY` set.
+fn next_ready(tags: &VecDeque<u8>, from: usize) -> Option<usize> {
+    let (head, tail) = tags.as_slices();
+    if from < head.len() {
+        if let Some(k) = first_ready(&head[from..]) {
+            return Some(from + k);
+        }
+        return first_ready(tail).map(|k| head.len() + k);
+    }
+    first_ready(&tail[from - head.len()..]).map(|k| from + k)
+}
+
+/// Offset of the first tag in `tags` with `READY` set, testing eight tags
+/// per word: most tags are not candidates, and the walks run every cycle.
+fn first_ready(tags: &[u8]) -> Option<usize> {
+    const MASK: u64 = tag::READY as u64 * 0x0101_0101_0101_0101;
+    let mut words = tags.chunks_exact(8);
+    let mut base = 0;
+    for w in &mut words {
+        let ready = u64::from_le_bytes(w.try_into().expect("8-byte chunk")) & MASK;
+        if ready != 0 {
+            return Some(base + ready.trailing_zeros() as usize / 8);
+        }
+        base += 8;
+    }
+    let rest = words.remainder().iter().position(|&t| t & tag::READY != 0);
+    rest.map(|k| base + k)
+}
+
 impl Default for Src {
     fn default() -> Src {
         Src::Ready(0)
@@ -1732,13 +1823,21 @@ impl Visit for Core {
         v.each(&mut self.regs)?;
         v.each(&mut self.map)?;
         v.deque(&mut self.rob, cfg.rob)?;
-        // Walk tags are derivable but cheap; visiting them directly avoids
-        // re-encoding the status/in_iq mapping in two places.
+        // The status/in_iq bits of the walk tags travel as they are; the
+        // derived bits are masked out and re-derived once the instruction
+        // words are back.
         if V::READS {
             self.rob_tags.clear();
             self.rob_tags.resize(self.rob.len(), 0);
         }
-        self.rob_tags.iter_mut().try_for_each(|t| v.u8(t))?;
+        self.rob_tags.iter_mut().try_for_each(|t| {
+            let mut payload = *t & tag::PAYLOAD;
+            v.u8(&mut payload)?;
+            if V::READS {
+                *t = payload;
+            }
+            Ok(())
+        })?;
         self.iq_occ.visit(v)?;
         // fetch_buf may hold up to 2*fetch_width-1 entries plus one more
         // landed group of fetch_width.
@@ -1764,6 +1863,9 @@ impl Visit for Core {
             let program = &self.program;
             let inst = |pc| program.fetch(pc).unwrap_or(Inst::Halt);
             self.rob.iter_mut().for_each(|e| e.inst = inst(e.pc));
+            for (t, e) in self.rob_tags.iter_mut().zip(&self.rob) {
+                *t |= Self::tag_of(e) & !tag::PAYLOAD;
+            }
             let fetched = self.fetch_buf.iter_mut().chain(&mut self.fetch_group);
             fetched.for_each(|f| f.inst = inst(f.pc));
             self.wb_completed.clear();
@@ -1806,31 +1908,37 @@ mod tests {
         (core, ports)
     }
 
-    /// Soundness of the quiescence probe: whenever `next_event` claims the
+    /// Steps `program` to its halt under a slow memory and checks the
+    /// quiescence probe on every cycle: whenever `next_event` claims the
     /// next cycle is inert (a wake strictly beyond `cycle + 1`), stepping
-    /// must neither fetch, dispatch, issue, nor commit — i.e. the probe
-    /// returns `None` on every cycle where the core could make progress.
-    #[test]
-    fn next_event_none_whenever_core_could_progress() {
-        let mut a = Asm::new("t");
-        a.li(R1, 0);
-        a.li(R2, 20);
-        a.label("loop");
-        a.sw(R1, R1, 64);
-        a.lw(R3, R1, 64);
-        a.addi(R1, R1, 1);
-        a.bne(R1, R2, "loop");
-        a.halt();
-        let mut core = Core::new(0, CoreConfig::ooo1(), a.assemble().unwrap());
+    /// must neither fetch, dispatch, issue, commit nor squash. Returns the
+    /// finished core, the number of inert claims and the number of cycles
+    /// on which a ready load sat behind the memory-order gate (the
+    /// `debug_assert` in `issue` checks each such load against
+    /// `load_check`).
+    fn probe_soundness(
+        cfg: CoreConfig,
+        program: &Program,
+        init: &[(u64, u32)],
+    ) -> (Core, u64, u64) {
+        let mut core = Core::new(0, cfg, program.clone());
         // A long memory latency opens plenty of provably idle gaps.
         let mut ports = NullPorts {
             mem_latency: 25,
             ..NullPorts::default()
         };
-        let mut quiet_cycles = 0u64;
+        for &(addr, v) in init {
+            ports.mem.write_u32(addr, v);
+        }
+        let (mut quiet, mut gated) = (0u64, 0u64);
         for _ in 0..200_000 {
             if core.halted() {
                 break;
+            }
+            let mut gate = None;
+            let mut tags = core.rob_tags.iter().enumerate();
+            if tags.any(|(i, &t)| t & tag::READY != 0 && core.behind_gate(&mut gate, i, t)) {
+                gated += 1;
             }
             let claim_inert = match core.next_event(&ports) {
                 Some(w) => w > core.cycle() + 1,
@@ -1839,7 +1947,7 @@ mod tests {
             let before = core.stats().clone();
             core.step(&mut ports);
             if claim_inert {
-                quiet_cycles += 1;
+                quiet += 1;
                 let after = core.stats();
                 assert_eq!(after.fetched, before.fetched, "fetched while inert");
                 assert_eq!(
@@ -1852,9 +1960,176 @@ mod tests {
             }
         }
         assert!(core.halted(), "program did not halt");
-        // The probe must actually have found idle cycles, or this test is
-        // vacuous.
-        assert!(quiet_cycles > 0, "probe never reported an inert cycle");
+        (core, quiet, gated)
+    }
+
+    /// [`probe_soundness`] under OOO1 and under a 4-issue OOO2 variant with
+    /// four load/store units, where loads on both sides of a store can
+    /// issue in the same walk as the store (so the gate must move once the
+    /// store gets its address). Returns the OOO1 core and the summed counts.
+    fn probe_both(program: Program, init: &[(u64, u32)]) -> (Core, u64, u64) {
+        let wide = CoreConfig {
+            issue_width: 4,
+            ldst_units: 4,
+            ..CoreConfig::ooo2()
+        };
+        let (c2, q2, g2) = probe_soundness(wide, &program, init);
+        let (c1, q1, g1) = probe_soundness(CoreConfig::ooo1(), &program, init);
+        assert_eq!(c1.regs, c2.regs, "OOO1 and OOO2 disagree");
+        (c1, q1 + q2, g1 + g2)
+    }
+
+    /// Soundness of the quiescence probe and of the memory-order gate on
+    /// programs whose loads are held behind each kind of gate entry: a
+    /// fence, an atomic, a store whose base register comes from a slow
+    /// load, and wrong-path work cut off by a mispredict squash.
+    #[test]
+    fn next_event_none_whenever_core_could_progress() {
+        // Loads that follow a store and a fence in a loop.
+        let mut a = Asm::new("fence");
+        a.li(R1, 0);
+        a.li(R2, 20);
+        a.label("loop");
+        a.sw(R1, R1, 64);
+        a.fence();
+        a.lw(R3, R1, 64);
+        a.lw(R4, R1, 128);
+        a.add(R5, R5, R3);
+        a.addi(R1, R1, 1);
+        a.bne(R1, R2, "loop");
+        a.halt();
+        let (core, quiet, gated) = probe_both(a.assemble().unwrap(), &[]);
+        assert!(quiet > 0 && gated > 0, "fence: quiet {quiet} gated {gated}");
+        assert_eq!(core.reg(R1), 20);
+
+        // Loads that follow an atomic on a shared counter.
+        let mut a = Asm::new("amo");
+        a.li(R1, 0);
+        a.li(R2, 20);
+        a.li(R6, 0x800);
+        a.li(R7, 1);
+        a.label("loop");
+        a.amoadd(R8, R6, R7);
+        a.lw(R3, R1, 256);
+        a.lw(R4, R6, 0);
+        a.add(R5, R5, R4);
+        a.addi(R1, R1, 4);
+        a.addi(R2, R2, -1);
+        a.bne(R2, R0, "loop");
+        a.halt();
+        let (core, quiet, gated) = probe_both(a.assemble().unwrap(), &[]);
+        assert!(quiet > 0 && gated > 0, "amo: quiet {quiet} gated {gated}");
+        assert_eq!(core.reg(R8), 19, "last atomic saw 19 earlier increments");
+
+        // Loads behind a store whose base comes from a slow pointer load:
+        // the store's address stays unknown for a whole memory latency. The
+        // load just before the store wakes with it, so the gate is found
+        // before the store issues in the same walk.
+        let mut a = Asm::new("store-addr");
+        a.li(R1, 0x1000);
+        a.li(R2, 0);
+        a.li(R3, 12);
+        a.label("loop");
+        a.lw(R10, R1, 0);
+        a.lw(R11, R10, 8);
+        a.sw(R2, R10, 0);
+        a.lw(R4, R1, 4);
+        a.lw(R5, R10, 0);
+        a.add(R6, R6, R5);
+        a.addi(R1, R1, 8);
+        a.addi(R2, R2, 1);
+        a.bne(R2, R3, "loop");
+        a.halt();
+        let ptrs: Vec<(u64, u32)> = (0..12u64)
+            .map(|i| (0x1000 + 8 * i, 0x2000 + 16 * i as u32))
+            .collect();
+        let (core, quiet, gated) = probe_both(a.assemble().unwrap(), &ptrs);
+        assert!(
+            quiet > 0 && gated > 0,
+            "store-addr: quiet {quiet} gated {gated}"
+        );
+        assert_eq!(
+            core.reg(R6),
+            (0..12).sum::<i64>(),
+            "each load forwards its store"
+        );
+
+        // A data-dependent branch on a slow load: the wrong path's stores
+        // and loads are squashed while gated.
+        let mut a = Asm::new("squash");
+        a.li(R1, 0x3000);
+        a.li(R2, 0);
+        a.li(R3, 16);
+        a.label("loop");
+        a.lw(R4, R1, 0);
+        a.sw(R2, R1, 128);
+        a.beq(R4, R0, "skip");
+        a.lw(R10, R1, 0);
+        a.sw(R4, R10, 0);
+        a.lw(R5, R1, 128);
+        a.add(R6, R6, R5);
+        a.label("skip");
+        a.lw(R7, R1, 132);
+        a.addi(R1, R1, 4);
+        a.addi(R2, R2, 1);
+        a.bne(R2, R3, "loop");
+        a.halt();
+        // An irregular taken/not-taken pattern defeats the predictor.
+        let flags: Vec<(u64, u32)> = (0..16u64)
+            .map(|i| {
+                (
+                    0x3000 + 4 * i,
+                    [0, 0x3800, 0, 0, 0x3900, 0x3a00, 0][i as usize % 7],
+                )
+            })
+            .collect();
+        let (core, quiet, gated) = probe_both(a.assemble().unwrap(), &flags);
+        assert!(
+            quiet > 0 && gated > 0,
+            "squash: quiet {quiet} gated {gated}"
+        );
+        assert!(core.stats().squashed > 0, "no mispredict squash happened");
+        let taken: i64 = (0..16).filter(|i| [1, 4, 5].contains(&(i % 7))).sum();
+        assert_eq!(
+            core.reg(R6),
+            taken,
+            "taken iterations read back their own index"
+        );
+    }
+
+    /// The word-at-a-time tag scan finds exactly what a plain scan finds,
+    /// from every start index, across the wrap point of the ring buffer.
+    #[test]
+    fn next_ready_matches_a_plain_scan() {
+        let mut seed = 0x9e37_79b9u32;
+        let mut wrapped = false;
+        for len in [0usize, 1, 7, 8, 9, 23, 64] {
+            let mut tags: VecDeque<u8> = VecDeque::with_capacity(64);
+            let cap = tags.capacity();
+            for head in [0, 5, cap - 3] {
+                // Move the ring's head, so the entries wrap past its end.
+                tags.clear();
+                tags.extend(std::iter::repeat_n(0, head));
+                while tags.pop_front().is_some() {}
+                for _ in 0..len {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 17;
+                    seed ^= seed << 5;
+                    let ready = if seed.is_multiple_of(5) {
+                        tag::READY
+                    } else {
+                        0
+                    };
+                    tags.push_back(ready | (seed as u8 & (tag::PAYLOAD | tag::LOAD)));
+                }
+                wrapped |= !tags.as_slices().1.is_empty();
+                for from in 0..=len {
+                    let plain = (from..len).find(|&i| tags[i] & tag::READY != 0);
+                    assert_eq!(next_ready(&tags, from), plain, "len {len} from {from}");
+                }
+            }
+        }
+        assert!(wrapped, "no case wrapped the ring");
     }
 
     #[test]

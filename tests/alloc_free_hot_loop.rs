@@ -159,33 +159,50 @@ fn hierarchy_fast_paths_do_not_allocate() {
 /// workload's release machinery allocates a few short `Vec`s per rendezvous
 /// on *both* paths, so the assertion is comparative: the skip-driven run of
 /// the identical workload must allocate no more than the ticked run.
+///
+/// Two drivers are covered: the public per-call `step_or_skip` on an
+/// 8-thread barrier, and `run_until` — the internal loop that leaves parked
+/// cores' counters lagging and settles them lazily — on a 16-core grid.
 #[test]
 fn skip_path_does_not_allocate() {
     let _guard = SERIAL.lock().unwrap();
 
-    fn run_to_halt(skip: bool) -> (u64, u64) {
-        // A barrier workload: most cycles sit at rendezvous points, so the
+    fn run_to_halt(skip: bool, grid: bool) -> (u64, u64) {
+        // Barrier workloads: most cycles sit at rendezvous points, so the
         // skip-driven run exercises probe, jump, and normal-step iterations.
-        let mut sys = BarrierBench::Ll2.build(BarrierMode::Remap(8), 1024);
+        let mode = if grid {
+            BarrierMode::Remap(16)
+        } else {
+            BarrierMode::Remap(8)
+        };
+        let mut sys = BarrierBench::Ll2.build(mode, 1024);
         sys.set_skip(skip);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        while !sys.all_halted() {
-            let limit = sys.cycle() + 200_000;
-            sys.step_or_skip(limit);
+        if grid {
+            while sys.cycle() < 50_000_000 && sys.run_until(sys.cycle() + 200_000) {}
+        } else {
+            while !sys.all_halted() {
+                let limit = sys.cycle() + 200_000;
+                sys.step_or_skip(limit);
+            }
         }
         let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert!(sys.all_halted(), "barrier workload did not finish");
         (allocs, sys.skipped_cycles())
     }
 
-    let (ticked_allocs, ticked_skipped) = run_to_halt(false);
-    assert_eq!(ticked_skipped, 0, "skip disabled yet cycles were skipped");
-    let (skip_allocs, skipped) = run_to_halt(true);
-    assert!(
-        skipped > 0,
-        "the skip run never skipped; the test is vacuous"
-    );
-    assert!(
-        skip_allocs <= ticked_allocs,
-        "skip engine added allocations: {skip_allocs} with skipping vs {ticked_allocs} ticked"
-    );
+    for grid in [false, true] {
+        let (ticked_allocs, ticked_skipped) = run_to_halt(false, grid);
+        assert_eq!(ticked_skipped, 0, "skip disabled yet cycles were skipped");
+        let (skip_allocs, skipped) = run_to_halt(true, grid);
+        assert!(
+            skipped > 0,
+            "the skip run never skipped (grid: {grid}); the test is vacuous"
+        );
+        assert!(
+            skip_allocs <= ticked_allocs,
+            "skip engine added allocations (grid: {grid}): \
+             {skip_allocs} with skipping vs {ticked_allocs} ticked"
+        );
+    }
 }
