@@ -99,14 +99,21 @@ impl Snapshot {
     }
 
     /// Writes the snapshot crash-safely: the image lands in `<path>.tmp`
-    /// first, any existing `path` is rotated to `<path>.prev`, and the new
-    /// file is renamed into place. A kill at any point leaves at least one
-    /// decodable snapshot behind ([`Snapshot::read_with_fallback`]).
+    /// first, any existing `path` is hard-linked as `<path>.prev`, and the
+    /// new file is renamed over `path`, so once written `path` never goes
+    /// missing (rotating it away by rename would open a window without
+    /// it). A kill at any point leaves at least one decodable snapshot
+    /// behind ([`Snapshot::read_with_fallback`]).
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let tmp = sibling(path, ".tmp");
         std::fs::write(&tmp, &self.bytes)?;
         if path.exists() {
-            std::fs::rename(path, sibling(path, ".prev"))?;
+            let prev = sibling(path, ".prev");
+            match std::fs::remove_file(&prev) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+            std::fs::hard_link(path, &prev)?;
         }
         std::fs::rename(&tmp, path)
     }

@@ -339,16 +339,35 @@ impl Cache {
 }
 
 /// Checkpoint support: the dynamic tag-array state. Geometry is not
-/// visited — it is part of the config fingerprint.
+/// visited — it is part of the config fingerprint. Sets are sparse rows
+/// (tags, states and LRU stamps of every way, then the way hint), so only
+/// the sets that differ from what [`Cache::new`] builds are carried.
 impl Visit for Cache {
     fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
-        v.exact(&mut self.tags)?;
-        v.each(&mut self.states)?;
-        v.each(&mut self.lru)?;
-        v.exact_len(self.mru_way.len())?;
-        for m in &mut self.mru_way {
-            v.index(m, self.cfg.ways)?;
-        }
+        let (sets, ways) = (self.num_sets, self.cfg.ways);
+        let set = move |si: usize| si * ways..(si + 1) * ways;
+        v.sparse_rows(
+            self,
+            sets,
+            |c, si| {
+                c.mru_way[si] == 0
+                    && c.states[set(si)].iter().all(|&s| s == Mesi::Invalid)
+                    && c.tags[set(si)].iter().all(|&t| t == 0)
+                    && c.lru[set(si)].iter().all(|&t| t == 0)
+            },
+            |c, si| {
+                c.tags[set(si)].fill(0);
+                c.states[set(si)].fill(Mesi::Invalid);
+                c.lru[set(si)].fill(0);
+                c.mru_way[si] = 0;
+            },
+            |v, c, si| {
+                v.each(&mut c.tags[set(si)])?;
+                v.each(&mut c.states[set(si)])?;
+                v.each(&mut c.lru[set(si)])?;
+                v.index(&mut c.mru_way[si], ways)
+            },
+        )?;
         v.u64(&mut self.tick)?;
         self.stats.visit(v)
     }
@@ -457,6 +476,52 @@ mod tests {
         // The MRU way still points at the cleared slot; a fresh line with a
         // different tag must not hit through the stale prediction.
         assert_eq!(c.access(0x040), None);
+    }
+
+    fn encode(c: &mut Cache) -> Vec<u8> {
+        let mut w = remap_snap::Writer::default();
+        c.visit(&mut w).unwrap();
+        w.into_vec()
+    }
+
+    fn decode(c: &mut Cache, buf: &[u8]) {
+        let mut r = remap_snap::Reader::new(buf);
+        c.visit(&mut r).unwrap();
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn invalidated_set_with_a_way_hint_round_trips() {
+        let mut c = tiny();
+        c.insert(0x000, Mesi::Exclusive);
+        c.insert(0x020, Mesi::Shared);
+        c.invalidate(0x000);
+        c.invalidate(0x020);
+        // Every line of set 0 is back to its reset contents, but the way
+        // hint still points at way 1: the set is not in its reset state.
+        assert_eq!((c.resident_lines(), c.mru_way[0]), (0, 1));
+        let buf = encode(&mut c);
+        let mut back = tiny();
+        decode(&mut back, &buf);
+        assert_eq!(back.mru_way, c.mru_way);
+        assert_eq!(encode(&mut back), buf);
+    }
+
+    #[test]
+    fn decoding_replaces_whatever_the_cache_held() {
+        let mut c = tiny();
+        c.insert(0x000, Mesi::Modified);
+        c.access(0x000);
+        let buf = encode(&mut c);
+        // The target holds other lines, in both sets.
+        let mut back = tiny();
+        for a in [0x020, 0x040, 0x010, 0x030] {
+            back.insert(a, Mesi::Shared);
+        }
+        decode(&mut back, &buf);
+        assert_eq!(encode(&mut back), buf);
+        assert_eq!(back.resident_line_addrs().collect::<Vec<_>>(), [0x000]);
+        assert_eq!(back.probe(0x000), Mesi::Modified);
     }
 
     #[test]

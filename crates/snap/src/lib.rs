@@ -6,12 +6,12 @@
 //! and the [`Visitor`] decides what the walk does — [`Writer`] encodes,
 //! [`Reader`] decodes with bounds checks, [`Hasher`] digests. The encoding
 //! is deliberately dumb: fixed-width little-endian integers, length-prefixed
-//! sequences, no schema, no varints, no serde. Robustness comes from the
-//! outer frame ([`encode_file`] / [`decode_file`]): magic, format version,
-//! a configuration fingerprint, a payload length, and a trailing FNV-1a
-//! checksum over everything before it. Torn tails, foreign files, and
-//! fingerprint mismatches are all refused with a typed [`SnapError`]
-//! before a single payload byte is interpreted.
+//! sequences, sparse rows for large fixed tables, no schema, no varints, no
+//! serde. Robustness comes from the outer frame ([`encode_file`] /
+//! [`decode_file`]): magic, format version, a configuration fingerprint, a
+//! payload length, and a trailing FNV-1a checksum over everything before it.
+//! Torn tails, foreign files, and fingerprint mismatches are all refused
+//! with a typed [`SnapError`] before a single payload byte is interpreted.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -21,7 +21,7 @@ pub const MAGIC: &[u8; 8] = b"RMAPSNAP";
 
 /// Current snapshot format version. Bump on any payload layout change:
 /// old files must be refused, never misread.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,9 +120,10 @@ macro_rules! int_method {
 /// A walk over simulator state that encodes it ([`Writer`]), decodes into
 /// it ([`Reader`]) or hashes it ([`Hasher`]). Encoding is fixed-width
 /// little-endian with `u64` length prefixes; every check a decoder needs
-/// (exact and bounded lengths, indices, enum tags, presence flags) lives in
-/// the provided methods and runs only when [`Visitor::READS`] is set.
-/// Encoders and hashers never modify the state they walk.
+/// (exact and bounded lengths, indices, enum tags, presence flags, sparse
+/// row counts and order) lives in the provided methods and runs only when
+/// [`Visitor::READS`] is set. Encoders and hashers never modify the state
+/// they walk.
 pub trait Visitor: Sized {
     /// True for the decoder: visited fields are overwritten.
     const READS: bool;
@@ -238,6 +239,48 @@ pub trait Visitor: Sized {
     fn exact<T: Visit>(&mut self, xs: &mut [T]) -> Result<(), SnapError> {
         self.exact_len(xs.len())?;
         self.each(xs)
+    }
+
+    /// The rows of a fixed-geometry table of `n` rows, stored sparsely: a
+    /// count (at most `n`), then the index and contents (`row`) of each row
+    /// not in its reset state (`is_reset`), in ascending index order. On
+    /// read, every row is first returned to its reset state (`reset`), then
+    /// the listed rows are decoded; the count must be at most `n` and the
+    /// indices strictly ascending and below `n`.
+    fn sparse_rows<T: ?Sized>(
+        &mut self,
+        table: &mut T,
+        n: usize,
+        is_reset: impl Fn(&T, usize) -> bool,
+        mut reset: impl FnMut(&mut T, usize),
+        mut row: impl FnMut(&mut Self, &mut T, usize) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError> {
+        if Self::READS {
+            let count = self.len(0, n)?;
+            (0..n).for_each(|i| reset(table, i));
+            let mut next = 0;
+            for _ in 0..count {
+                let mut i = 0usize;
+                self.index(&mut i, n)?;
+                if i < next {
+                    return Err(SnapError::Corrupt(format!(
+                        "row index {i} not above the previous row"
+                    )));
+                }
+                row(self, table, i)?;
+                next = i + 1;
+            }
+            return Ok(());
+        }
+        let count = (0..n).filter(|&i| !is_reset(table, i)).count();
+        self.len(count, n)?;
+        for mut i in 0..n {
+            if !is_reset(table, i) {
+                self.usize(&mut i)?;
+                row(self, table, i)?;
+            }
+        }
+        Ok(())
     }
 
     /// Bounded length prefix, then each element through `f`.
@@ -657,6 +700,66 @@ mod tests {
         assert!(corrupt(
             Reader::new(&buf).map(&mut HashMap::<u64, u32>::new(), 2)
         ));
+    }
+
+    /// A table of `u32` rows whose reset state is 0, visited sparsely.
+    fn visit_rows<V: Visitor>(v: &mut V, t: &mut [u32]) -> Result<(), SnapError> {
+        let n = t.len();
+        v.sparse_rows(
+            t,
+            n,
+            |t, i| t[i] == 0,
+            |t, i| t[i] = 0,
+            |v, t, i| v.u32(&mut t[i]),
+        )
+    }
+
+    /// Count, then `(index, row)` pairs, as a [`Writer`] lays them out.
+    fn rows_payload(mut count: u64, rows: &[(u64, u32)]) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u64(&mut count).unwrap();
+        for &(mut i, mut x) in rows {
+            w.u64(&mut i).unwrap();
+            w.u32(&mut x).unwrap();
+        }
+        w.into_vec()
+    }
+
+    #[test]
+    fn sparse_rows_carry_only_rows_off_their_reset_state() {
+        let mut t = [0, 5, 0, 7];
+        let mut w = Writer::default();
+        visit_rows(&mut w, &mut t).unwrap();
+        let buf = w.into_vec();
+        assert_eq!(buf, rows_payload(2, &[(1, 5), (3, 7)]));
+        // Decoding resets every row first, so rows absent from the payload
+        // do not keep what the table held before.
+        let mut back = [9, 9, 9, 9];
+        let mut r = Reader::new(&buf);
+        visit_rows(&mut r, &mut back).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, t);
+        let mut h = Hasher::default();
+        visit_rows(&mut h, &mut t).unwrap();
+        assert_eq!(h.finish(), vec![(String::new(), fnv1a(&buf))]);
+        for cut in 0..buf.len() {
+            let mut r = Reader::new(&buf[..cut]);
+            assert_eq!(visit_rows(&mut r, &mut [0; 4]), Err(SnapError::Truncated));
+        }
+    }
+
+    #[test]
+    fn sparse_row_checks_live_in_the_primitive() {
+        let decode = |buf: Vec<u8>| visit_rows(&mut Reader::new(&buf), &mut [0; 4]);
+        let corrupt = |buf| matches!(decode(buf), Err(SnapError::Corrupt(_)));
+        assert!(corrupt(rows_payload(5, &[])), "count above n");
+        assert!(corrupt(rows_payload(2, &[(2, 1), (1, 1)])), "descending");
+        assert!(corrupt(rows_payload(2, &[(1, 1), (1, 2)])), "duplicate");
+        assert!(corrupt(rows_payload(1, &[(4, 1)])), "out of range");
+        assert_eq!(
+            decode(rows_payload(4, &[(0, 1), (1, 1), (2, 1), (3, 1)])),
+            Ok(())
+        );
     }
 
     #[test]

@@ -6,27 +6,35 @@
 //! buffer-growth transient, and then asserts that thousands of further
 //! cycles allocate nothing.
 //!
-//! Kept in its own integration-test binary so no concurrent test pollutes
-//! the allocation counter.
+//! The counter is per thread: the simulator runs on the test's own thread,
+//! and the test harness allocates on its threads (spawning the next test)
+//! while another test is measuring.
 
 use remap_workloads::barriers::{BarrierBench, BarrierMode};
 use remap_workloads::comp::CompBench;
 use remap_workloads::CompMode;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// The allocation counter is process-global, so the tests in this binary
-/// must not overlap; each takes this lock for its whole body.
-static SERIAL: Mutex<()> = Mutex::new(());
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown are not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far on the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         SystemAlloc.alloc(layout)
     }
 
@@ -35,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         SystemAlloc.realloc(ptr, layout, new_size)
     }
 }
@@ -45,7 +53,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_cycles_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
     // An SPL-active computation workload: every cycle exercises fetch,
     // dispatch/issue/commit, the fabric tick, and the stats plumbing.
     let mut sys = CompBench::ALL[0].build(CompMode::Spl, 4096);
@@ -63,13 +70,13 @@ fn steady_state_cycles_do_not_allocate() {
         "workload halted during warm-up; pick a larger problem size"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut measured = 0u32;
     while measured < 5_000 && !sys.all_halted() {
         sys.step();
         measured += 1;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert!(
         measured >= 5_000,
         "workload halted during the measured window after {measured} cycles"
@@ -93,7 +100,6 @@ fn steady_state_cycles_do_not_allocate() {
 fn hierarchy_fast_paths_do_not_allocate() {
     use remap_mem::{Hierarchy, HierarchyConfig, PC_NONE};
 
-    let _guard = SERIAL.lock().unwrap();
     let mut h = Hierarchy::new(2, HierarchyConfig::default());
     h.set_mlp(true); // robust against REMAP_NO_MLP leaking into the test env
 
@@ -114,9 +120,9 @@ fn hierarchy_fast_paths_do_not_allocate() {
     };
     let t = warm(&mut h, 0);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut t = warm(&mut h, t);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -135,12 +141,12 @@ fn hierarchy_fast_paths_do_not_allocate() {
     for i in 0..65536u64 {
         t += h.store(0, base + i * 32, 4, i, t) as u64;
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..2048u64 {
         let (_, l) = h.load(0, base + i * 32, 4, 7, t);
         t += l as u64;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -165,8 +171,6 @@ fn hierarchy_fast_paths_do_not_allocate() {
 /// cores' counters lagging and settles them lazily — on a 16-core grid.
 #[test]
 fn skip_path_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
-
     fn run_to_halt(skip: bool, grid: bool) -> (u64, u64) {
         // Barrier workloads: most cycles sit at rendezvous points, so the
         // skip-driven run exercises probe, jump, and normal-step iterations.
@@ -177,7 +181,7 @@ fn skip_path_does_not_allocate() {
         };
         let mut sys = BarrierBench::Ll2.build(mode, 1024);
         sys.set_skip(skip);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         if grid {
             while sys.cycle() < 50_000_000 && sys.run_until(sys.cycle() + 200_000) {}
         } else {
@@ -186,7 +190,7 @@ fn skip_path_does_not_allocate() {
                 sys.step_or_skip(limit);
             }
         }
-        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocs = allocations() - before;
         assert!(sys.all_halted(), "barrier workload did not finish");
         (allocs, sys.skipped_cycles())
     }

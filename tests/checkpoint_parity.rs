@@ -17,9 +17,11 @@
 //! Beyond the reports, per-component state digests must match: on every
 //! component between a restored system and its donor right after the
 //! restore, and on every component but the skip bookkeeping between the
-//! uninterrupted and the resumed run at completion.
+//! uninterrupted and the resumed run at completion. Restoring into a
+//! system that has already run past the cut (a rewind) must meet the same
+//! contract.
 
-use remap_suite::system::{RunReport, System};
+use remap_suite::system::{RunError, RunReport, Snapshot, System};
 use remap_suite::workloads::barriers::{BarrierBench, BarrierMode};
 use remap_suite::workloads::comm::CommBench;
 use remap_suite::workloads::comp::CompBench;
@@ -287,6 +289,86 @@ fn grid_checkpoint_parity_16_36_64_cores() {
     }
 }
 
+/// Rewind: snapshot a donor at cut A, run it on to cut B, then restore A
+/// into that same, used donor. Every component must be back at A — a
+/// decoder that overwrote only what the snapshot lists would keep state
+/// from between A and B, which restores into fresh systems cannot show —
+/// and the rewound run must finish like the uninterrupted one.
+fn assert_rewind_parity(label: &str, build: impl Fn() -> System) {
+    let mut reference = build();
+    let rr = reference
+        .run(MAX_CYCLES)
+        .unwrap_or_else(|e| panic!("{label} (reference) failed: {e:?}"));
+    let final_digest = reference.state_digest();
+    let (a, b) = ((rr.cycles / 3).max(1), rr.cycles * 2 / 3);
+    let mut donor = build();
+    assert!(donor.run_until(a), "{label}: donor halted before cut {a}");
+    let snap = donor.snapshot();
+    let at_a = donor.state_digest();
+    assert!(donor.run_until(b), "{label}: donor halted before cut {b}");
+    let hierarchy = |d: &[(String, u64)]| d.iter().find(|(n, _)| n == "hierarchy").cloned();
+    assert_ne!(
+        hierarchy(&at_a),
+        hierarchy(&donor.state_digest()),
+        "{label}: the hierarchy did not change between the cuts; the rewind is vacuous"
+    );
+    donor
+        .restore(&snap)
+        .unwrap_or_else(|e| panic!("{label}: rewind from {b} to {a} refused: {e}"));
+    let rewound = format!("{label} rewound {b}->{a}");
+    assert_same_digest(&rewound, &at_a, &donor.state_digest(), false);
+    let rd = donor
+        .run(MAX_CYCLES)
+        .unwrap_or_else(|e| panic!("{rewound} failed: {e:?}"));
+    assert_same_observables(&rewound, &reference, &rr, &donor, &rd);
+    assert_same_digest(&rewound, &final_digest, &donor.state_digest(), true);
+}
+
+#[test]
+fn rewind_into_a_used_system_checkpoint_parity() {
+    let hmmer = *CommBench::ALL.iter().find(|b| b.name() == "hmmer").unwrap();
+    assert_rewind_parity("hmmer CompComm2T", || hmmer.build(CommMode::CompComm2T, 64));
+    let m = BarrierMode::Remap(16);
+    assert_rewind_parity(&format!("Ll3 {m:?}"), || BarrierBench::Ll3.build(m, 64));
+}
+
+/// A snapshot's size follows the state a run has touched, not the caches'
+/// capacity: a 64-core grid, freshly built and after 500 cycles.
+#[test]
+fn grid_snapshots_stay_small() {
+    for cut in [0, 500] {
+        let mut sys = BarrierBench::Ll3.build(BarrierMode::Remap(64), 64);
+        assert!(sys.run_until(cut), "halted before cycle {cut}");
+        let len = sys.snapshot().as_bytes().len();
+        // The dense encoding grew with L2 capacity — every line of every
+        // 1 MB L2 at 17 B, 38.2 MB for this system at cycle 0; the sparse
+        // one carries only touched sets (0.91 MB and 1.04 MB here).
+        assert!(len < 2 << 20, "Remap(64) snapshot at cycle {cut}: {len} B");
+    }
+}
+
+/// A snapshot of an older format version is refused by its version, never
+/// misread — even with a valid checksum.
+#[test]
+fn older_format_versions_are_refused() {
+    let hmmer = *CommBench::ALL.iter().find(|b| b.name() == "hmmer").unwrap();
+    let mut sys = hmmer.build(CommMode::CompComm2T, 64);
+    assert!(sys.run_until(500));
+    let mut img = sys.snapshot().as_bytes().to_vec();
+    let at = remap_snap::MAGIC.len();
+    img[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    let body = img.len() - remap_snap::TRAILER_LEN;
+    let sum = remap_snap::fnv1a(&img[..body]);
+    img[body..].copy_from_slice(&sum.to_le_bytes());
+    match Snapshot::from_bytes(img) {
+        Err(RunError::BadSnapshot { reason }) => assert!(
+            reason.contains("unsupported snapshot format version 1"),
+            "{reason}"
+        ),
+        other => panic!("expected BadSnapshot, got {other:?}"),
+    }
+}
+
 /// Pins the snapshot layout: the FNV-1a of the framed snapshot at a fixed
 /// cut, for one configuration of each workload family, a faulted run, and a
 /// 16-core grid. Any payload layout change must update these values and
@@ -296,7 +378,7 @@ fn grid_checkpoint_parity_16_36_64_cores() {
 fn snapshot_format_is_pinned() {
     use remap_suite::fault::{FaultPlan, SiteCfg};
 
-    assert_eq!(remap_snap::FORMAT_VERSION, 1);
+    assert_eq!(remap_snap::FORMAT_VERSION, 2);
     let comp = |name: &str| *CompBench::ALL.iter().find(|b| b.name() == name).unwrap();
     let comm = |name: &str| *CommBench::ALL.iter().find(|b| b.name() == name).unwrap();
     let mut plan = FaultPlan::quiet(0xFA_17);
@@ -314,32 +396,32 @@ fn snapshot_format_is_pinned() {
         (
             "mpeg2dec Spl",
             comp("mpeg2dec").build(CompMode::Spl, 64),
-            605_023,
-            0x46ef_03cf_2bfb_ee62,
+            22_995,
+            0x0cc6_4b0f_fd76_3dc9,
         ),
         (
             "hmmer CompComm2T",
             comm("hmmer").build(CommMode::CompComm2T, 64),
-            1_208_295,
-            0xa464_9741_053e_b899,
+            44_433,
+            0xfb82_5b23_611c_0db8,
         ),
         (
             "Ll3 RemapComp(4)",
             BarrierBench::Ll3.build(BarrierMode::RemapComp(4), 32),
-            2_411_170,
-            0x193a_93de_42df_2554,
+            82_716,
+            0x43a8_f339_ad73_fd92,
         ),
         (
             "hmmer CompComm2T faulted",
             faulted,
-            1_209_074,
-            0x6399_128b_eb7b_a86b,
+            45_212,
+            0x2f45_7910_1308_f5f3,
         ),
         (
             "Ll3 Remap(16)",
             BarrierBench::Ll3.build(BarrierMode::Remap(16), 64),
-            9_587_783,
-            0x788b_cd70_5609_a59c,
+            273_047,
+            0x9fc7_c709_7e92_042f,
         ),
     ];
     for (label, mut sys, len, fnv) in pins {
