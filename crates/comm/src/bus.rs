@@ -6,6 +6,7 @@
 //! and adds a fixed transfer latency.
 
 use remap_snap::{SnapError, Visit, Visitor};
+use std::collections::VecDeque;
 
 /// One barrier-update message on the bus.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +21,9 @@ pub struct BusMessage {
     pub deliver_at: u64,
 }
 
-/// A serializing broadcast bus with fixed per-message latency.
+/// A serializing broadcast bus with fixed per-message latency. Messages
+/// deliver in send order: `next_free` only grows and the latency is fixed,
+/// so the queue is in `deliver_at` order by construction.
 ///
 /// ```
 /// use remap_comm::BarrierBus;
@@ -33,7 +36,7 @@ pub struct BusMessage {
 #[derive(Debug, Clone, Default)]
 pub struct BarrierBus {
     latency: u64,
-    queue: Vec<BusMessage>,
+    queue: VecDeque<BusMessage>,
     next_free: u64,
     /// Messages transferred (for power accounting).
     pub messages: u64,
@@ -61,7 +64,7 @@ impl BarrierBus {
         let deliver_at = start + self.latency;
         self.next_free = deliver_at;
         self.messages += 1;
-        self.queue.push(BusMessage {
+        self.queue.push_back(BusMessage {
             barrier_id,
             app_id,
             from_cluster,
@@ -71,10 +74,8 @@ impl BarrierBus {
 
     /// Returns (and removes) all messages that have arrived by `now`.
     pub fn deliver(&mut self, now: u64) -> Vec<BusMessage> {
-        let (ready, pending): (Vec<_>, Vec<_>) =
-            self.queue.drain(..).partition(|m| m.deliver_at <= now);
-        self.queue = pending;
-        ready
+        let n = self.queue.partition_point(|m| m.deliver_at <= now);
+        self.queue.drain(..n).collect()
     }
 
     /// Removes (and counts) all messages that have arrived by `now` without
@@ -82,29 +83,32 @@ impl BarrierBus {
     /// only need delivery side-effects (energy counters already accumulated
     /// at [`BarrierBus::send`]) uses this instead of [`BarrierBus::deliver`].
     pub fn drain_ready(&mut self, now: u64) -> usize {
-        let before = self.queue.len();
-        self.queue.retain(|m| m.deliver_at > now);
-        before - self.queue.len()
+        let n = self.queue.partition_point(|m| m.deliver_at <= now);
+        self.queue.drain(..n);
+        n
     }
 
     /// Messages still in flight.
     pub fn in_flight(&self) -> usize {
         self.queue.len()
     }
-
-    /// Earliest cycle at which an in-flight message becomes deliverable, or
-    /// `None` when the bus is empty (quiescence probe).
-    pub fn next_event(&self) -> Option<u64> {
-        self.queue.iter().map(|m| m.deliver_at).min()
-    }
 }
 
 remap_snap::visit_fields!(BusMessage: barrier_id, app_id, from_cluster, deliver_at);
 
-/// Checkpoint support: the in-flight messages and arbitration state.
+/// Checkpoint support: the in-flight messages and arbitration state. A
+/// decoded queue out of `deliver_at` order is refused.
 impl Visit for BarrierBus {
     fn visit<V: Visitor>(&mut self, v: &mut V) -> Result<(), SnapError> {
-        v.vec(&mut self.queue, 1 << 20)?;
+        v.deque(&mut self.queue, 1 << 20)?;
+        if V::READS
+            && !self
+                .queue
+                .make_contiguous()
+                .is_sorted_by_key(|m| m.deliver_at)
+        {
+            return Err(SnapError::Corrupt("bus queue out of delivery order".into()));
+        }
         v.u64s([&mut self.next_free, &mut self.messages])
     }
 }
@@ -153,5 +157,26 @@ mod tests {
         assert_eq!(bus.in_flight(), 1);
         assert_eq!(bus.drain_ready(100), 1);
         assert_eq!(bus.in_flight(), 0);
+    }
+
+    #[test]
+    fn snapshot_refuses_a_queue_out_of_delivery_order() {
+        use remap_snap::{Reader, Writer};
+        let mut bus = BarrierBus::new(4);
+        bus.send(1, 0, 0, 10);
+        bus.send(2, 0, 1, 10);
+        let encode = |bus: &mut BarrierBus| {
+            let mut w = Writer::default();
+            bus.visit(&mut w).unwrap();
+            w.into_vec()
+        };
+        let bytes = encode(&mut bus);
+        let mut back = BarrierBus::new(4);
+        back.visit(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.deliver(18).len(), 2, "in-order queue restores");
+        bus.queue.swap(0, 1);
+        let bytes = encode(&mut bus);
+        let err = back.visit(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 }

@@ -1189,9 +1189,9 @@ impl System {
     ///
     /// Every cycle in `(env.cycle, wake)` is provably inert: no core
     /// fetches, issues, writes back, or commits, no SPL row completes or
-    /// issues, no barrier releases, and no bus message delivers. The only
-    /// per-cycle state those cycles carry — stall statistics and the SPL
-    /// round-robin pointer — is replicated arithmetically by
+    /// issues, and no barrier releases. The only per-cycle state those
+    /// cycles carry — stall statistics, the SPL round-robin pointer and
+    /// barrier-bus deliveries — is replicated arithmetically by
     /// [`System::skip_to`], which is what makes bulk advancement
     /// bit-identical to ticking (see DESIGN.md §11).
     fn quiescent_wake(&mut self) -> Option<u64> {
@@ -1214,8 +1214,8 @@ impl System {
                 }
             }
         }
-        // The SPL fabric, pending barrier releases, and the barrier bus are
-        // only serviced on SPL clock edges (core cycles divisible by the
+        // The SPL fabric and pending barrier releases are only serviced on
+        // SPL clock edges (core cycles divisible by the
         // divisor), so their wake points round up to the next edge.
         let next_edge = (now / SPL_CLOCK_DIVISOR + 1) * SPL_CLOCK_DIVISOR;
         let spl_now = now / SPL_CLOCK_DIVISOR;
@@ -1233,10 +1233,6 @@ impl System {
             // own edge already passed (at <= now) fires at the next edge,
             // which the `.max(next_edge)` clamp supplies.
             let at_edge = p.at.div_ceil(SPL_CLOCK_DIVISOR) * SPL_CLOCK_DIVISOR;
-            wake = wake.min(at_edge.max(next_edge));
-        }
-        if let Some(d) = self.env.bus.next_event() {
-            let at_edge = d.div_ceil(SPL_CLOCK_DIVISOR) * SPL_CLOCK_DIVISOR;
             wake = wake.min(at_edge.max(next_edge));
         }
         // A pending fault-backoff expiry is a core-cycle event (no SPL-edge
@@ -1266,12 +1262,16 @@ impl System {
         debug_assert!(target > from);
         let delta = target - from;
         // Idle SPL edges crossed by the jump still rotate the fabric's
-        // round-robin pointer; replicate that arithmetically.
+        // round-robin pointer and drain the barrier bus (bookkeeping only:
+        // no core or fabric reads a delivery); replicate both.
         let edges = target / SPL_CLOCK_DIVISOR - from / SPL_CLOCK_DIVISOR;
         if edges > 0 {
             for cl in &mut self.env.clusters {
                 cl.spl.skip_ticks(edges);
             }
+            self.env
+                .bus
+                .drain_ready(target / SPL_CLOCK_DIVISOR * SPL_CLOCK_DIVISOR);
         }
         self.env.cycle = target;
         self.skipped_cycles += delta;

@@ -53,6 +53,7 @@ pub struct CoreConfig {
     /// Reorder-buffer entries. Renaming is ROB-based, so this also bounds
     /// the in-flight rename registers (Table II lists 64 int + 64 fp
     /// registers and a 64-entry ROB; the binding constraint is identical).
+    /// At most 64: [`Core::new`](crate::Core::new) refuses a larger ROB.
     pub rob: usize,
     /// Post-commit store-buffer entries.
     pub store_buffer: usize,

@@ -51,24 +51,110 @@ enum Status {
     Done,
 }
 
-/// Compact per-entry walk tag mirroring `RobEntry::status` and `in_iq`,
-/// plus two bits derived from the entry: the issue walk and the quiescence
-/// probe scan these one-byte tags (the whole ROB fits in a cache line) and
-/// touch the ~112-byte entries only on a match.
-mod tag {
-    pub const WAITING: u8 = 0;
-    pub const EXECUTING: u8 = 1;
-    pub const DONE: u8 = 2;
-    /// Set while the entry holds an issue-queue slot (`in_iq`).
-    pub const IQ: u8 = 0b100;
-    /// Derived: an issue candidate — waiting, in the issue queue, not an
-    /// at-head-only operation, with both sources ready. Implies
-    /// `WAITING | IQ`.
-    pub const READY: u8 = 0b1000;
-    /// Derived: a waiting load.
-    pub const LOAD: u8 = 0b1_0000;
-    /// The bits a snapshot carries; the derived ones are re-derived.
-    pub const PAYLOAD: u8 = 0b111;
+/// Most ROB entries a core may have: one bit per entry in each [`Slots`]
+/// mask.
+const MAX_ROB: usize = 64;
+
+/// The ROB walk state as position masks: bit `i` of each mask describes
+/// `rob[i]`. The issue walk and the quiescence probe find their next
+/// candidate with one `trailing_zeros` and touch the ~112-byte entries
+/// only on a match. Every mask is derived from the entries; dispatch,
+/// wakeup, issue, commit and squash keep it current, and debug builds
+/// recount it every cycle.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Slots {
+    /// Issue candidates: waiting, in the issue queue, not at-head-only,
+    /// with both sources ready.
+    ready: u64,
+    /// Waiting loads.
+    loads: u64,
+    /// Memory-ordering entries: stores, fences, atomics and `hwbar`.
+    orders: u64,
+    /// The `orders` entries that block every younger load: a fence,
+    /// atomic or `hwbar`, or a store whose address is still unknown.
+    gates: u64,
+}
+
+impl Slots {
+    /// The masks recounted from the entries.
+    fn of(rob: &VecDeque<RobEntry>) -> Slots {
+        let mut s = Slots::default();
+        rob.iter().enumerate().for_each(|(i, e)| s.push(i, e));
+        s
+    }
+
+    /// Sets the bits the entry `e` at position `i` carries (dispatch).
+    fn push(&mut self, i: usize, e: &RobEntry) {
+        let bit = 1u64 << i;
+        if e.issue_ready() {
+            self.ready |= bit;
+        }
+        if e.status == Status::Waiting && e.inst.class() == InstClass::Load {
+            self.loads |= bit;
+        }
+        if Core::orders_memory(e.inst) {
+            self.orders |= bit;
+            if !matches!(e.inst, Inst::Sw { .. } | Inst::Sb { .. }) || e.mem_addr.is_none() {
+                self.gates |= bit;
+            }
+        }
+    }
+
+    /// Clears the bits of the entry at position `i` once it issues: it is
+    /// no longer a candidate or a waiting load, and a store now has its
+    /// address. (Only stores among issued entries can gate.)
+    fn issued(&mut self, i: usize) {
+        let keep = !(1u64 << i);
+        self.ready &= keep;
+        self.loads &= keep;
+        self.gates &= keep;
+    }
+
+    /// Drops the oldest position (one retired entry).
+    fn retire(&mut self) {
+        self.map(|m| m >> 1);
+    }
+
+    /// Keeps the `keep` oldest positions (squash).
+    fn truncate(&mut self, keep: usize) {
+        let low = below(keep);
+        self.map(|m| m & low);
+    }
+
+    /// Applies `f` to every mask.
+    fn map(&mut self, f: impl Fn(u64) -> u64) {
+        for m in [
+            &mut self.ready,
+            &mut self.loads,
+            &mut self.orders,
+            &mut self.gates,
+        ] {
+            *m = f(*m);
+        }
+    }
+
+    /// Issue candidates, less the loads above the memory-order gate (the
+    /// lowest `gates` bit): [`Core::load_check`] can only answer `Blocked`
+    /// for those. With no gate, nothing is excluded.
+    fn candidates(&self) -> u64 {
+        let gate = self.gates & self.gates.wrapping_neg();
+        let above = !(gate | gate.wrapping_sub(1));
+        self.ready & !(self.loads & above)
+    }
+}
+
+/// The positions below `n` (`n` ≤ 64).
+fn below(n: usize) -> u64 {
+    u64::MAX.checked_shr((MAX_ROB - n) as u32).unwrap_or(0)
+}
+
+/// The positions of the set bits of `m`, lowest first.
+fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = m.trailing_zeros() as usize;
+        m &= m.wrapping_sub(1);
+        (i < MAX_ROB).then_some(i)
+    })
 }
 
 #[derive(Debug, Default, Clone)]
@@ -103,6 +189,27 @@ struct RobEntry {
     /// Per-source links continuing the producer's wakeup chain through
     /// this consumer (one chain slot per source operand).
     next_waiter: [u64; 2],
+}
+
+impl RobEntry {
+    /// Whether the entry is an issue candidate: waiting, in the issue
+    /// queue, not an at-head-only operation, with both sources ready.
+    fn issue_ready(&self) -> bool {
+        self.status == Status::Waiting
+            && self.in_iq
+            && !self.inst.is_at_head_only()
+            && self.src.iter().all(|s| matches!(s, Src::Ready(_)))
+    }
+
+    /// The status/`in_iq` byte snapshot format v2 carries per entry.
+    fn walk_byte(&self) -> u8 {
+        let kind = match self.status {
+            Status::Waiting => 0,
+            Status::Executing(_) => 1,
+            Status::Done => 2,
+        };
+        kind | u8::from(self.in_iq) << 2
+    }
 }
 
 /// Empty wakeup-chain link.
@@ -221,9 +328,8 @@ pub struct Core {
     /// contiguous from the front, so the entry of a seq is found by index
     /// arithmetic ([`Core::rob_index_of`]).
     rob: VecDeque<RobEntry>,
-    /// One walk tag per ROB entry (see [`tag`]), kept in lockstep with
-    /// `rob` by dispatch/wakeup/issue/writeback/commit/squash.
-    rob_tags: VecDeque<u8>,
+    /// The ROB walk masks (see [`Slots`]).
+    slots: Slots,
     /// Issue-queue occupancy (int, fp), maintained incrementally so
     /// dispatch and the quiescence probe do not rescan the ROB every cycle.
     iq_occ: (usize, usize),
@@ -248,10 +354,6 @@ pub struct Core {
     next_seq: u64,
     /// Scratch list of ROB indices completed this cycle (reused allocation).
     wb_completed: Vec<usize>,
-    /// Seqs of in-flight memory-ordering entries (stores, atomics, fences,
-    /// hardware barriers) in program order. The load-disambiguation check
-    /// visits only these instead of the whole older ROB prefix.
-    mem_seqs: VecDeque<u64>,
     /// Seqs of entries currently `Executing` (unsorted); writeback visits
     /// only these instead of walking every ROB slot.
     exec_seqs: Vec<u64>,
@@ -266,7 +368,17 @@ pub struct Core {
 impl Core {
     /// Creates a core with the given configuration executing `program` from
     /// instruction 0. All registers start at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.rob` exceeds 64 entries (Table II's ROB, and every
+    /// shipped configuration's, is 64).
     pub fn new(id: usize, cfg: CoreConfig, program: Program) -> Core {
+        assert!(
+            cfg.rob <= MAX_ROB,
+            "ROB of {} entries exceeds the {MAX_ROB} a walk mask holds",
+            cfg.rob
+        );
         Core {
             id,
             cfg,
@@ -275,7 +387,7 @@ impl Core {
             regs: [0; Reg::COUNT],
             map: [None; Reg::COUNT],
             rob: VecDeque::with_capacity(cfg.rob),
-            rob_tags: VecDeque::with_capacity(cfg.rob),
+            slots: Slots::default(),
             iq_occ: (0, 0),
             fetch_buf: Vec::new(),
             fetch_pc: 0,
@@ -291,7 +403,6 @@ impl Core {
             cycle: 0,
             next_seq: 0,
             wb_completed: Vec::new(),
-            mem_seqs: VecDeque::with_capacity(cfg.rob),
             exec_seqs: Vec::with_capacity(cfg.rob),
             exec_next_done: u64::MAX,
             stats: CoreStats::default(),
@@ -358,8 +469,8 @@ impl Core {
         if self.halted {
             return false;
         }
-        debug_assert!(self.tags_in_sync(), "rob_tags out of sync with rob");
-        debug_assert!(self.side_lists_in_sync(), "mem_seqs/exec_seqs out of sync");
+        debug_assert_eq!(self.slots, Slots::of(&self.rob), "walk masks out of sync");
+        debug_assert!(self.exec_seqs_in_sync(), "exec_seqs out of sync");
         self.cycle += 1;
         self.stats.cycles += 1;
         self.drain_store_buffer(ports);
@@ -489,13 +600,7 @@ impl Core {
         // Issue: a candidate issues immediately unless gated by a busy
         // divider or a blocked load (whose unblocking is itself a core
         // event). Loads behind the memory-order gate are blocked outright.
-        let mut gate = None;
-        let mut from = 0;
-        while let Some(i) = next_ready(&self.rob_tags, from) {
-            from = i + 1;
-            if self.behind_gate(&mut gate, i, self.rob_tags[i]) {
-                continue;
-            }
+        for i in bits(self.slots.candidates()) {
             let e = &self.rob[i];
             match e.inst.class() {
                 InstClass::IntDiv => {
@@ -533,7 +638,7 @@ impl Core {
                         }
                         wake = wake.min(w);
                     }
-                    LoadPath::Forward(_) => return None,
+                    LoadPath::Forward(..) => return None,
                 },
                 _ => return None,
             }
@@ -835,36 +940,6 @@ impl Core {
         (int, fp)
     }
 
-    /// The walk tag a ROB entry should currently carry.
-    fn tag_of(e: &RobEntry) -> u8 {
-        let kind = match e.status {
-            Status::Waiting => tag::WAITING,
-            Status::Executing(_) => tag::EXECUTING,
-            Status::Done => tag::DONE,
-        };
-        let mut t = kind | if e.in_iq { tag::IQ } else { 0 };
-        if e.status == Status::Waiting {
-            let ready = e.src.iter().all(|s| matches!(s, Src::Ready(_)));
-            if e.in_iq && ready && !e.inst.is_at_head_only() {
-                t |= tag::READY;
-            }
-            if e.inst.class() == InstClass::Load {
-                t |= tag::LOAD;
-            }
-        }
-        t
-    }
-
-    /// Whether every walk tag matches its ROB entry (debug checking).
-    fn tags_in_sync(&self) -> bool {
-        self.rob.len() == self.rob_tags.len()
-            && self
-                .rob
-                .iter()
-                .zip(&self.rob_tags)
-                .all(|(e, &t)| Self::tag_of(e) == t)
-    }
-
     /// Whether an instruction participates in memory ordering: it either
     /// writes memory or forbids younger loads from issuing past it.
     fn orders_memory(inst: Inst) -> bool {
@@ -878,14 +953,9 @@ impl Core {
         )
     }
 
-    /// Whether `mem_seqs` and `exec_seqs` match a fresh recount from the
-    /// ROB (debug checking).
-    fn side_lists_in_sync(&self) -> bool {
-        let mem_ok = self.mem_seqs.iter().copied().eq(self
-            .rob
-            .iter()
-            .filter(|e| Self::orders_memory(e.inst))
-            .map(|e| e.seq));
+    /// Whether `exec_seqs` matches a fresh recount from the ROB (debug
+    /// checking).
+    fn exec_seqs_in_sync(&self) -> bool {
         // Allocation-free equality-as-multisets: every executing entry
         // appears exactly once in `exec_seqs`, and the lengths match (this
         // runs under debug_assert inside the alloc-free hot loop).
@@ -897,7 +967,7 @@ impl Core {
         let exec_ok = execing
             .inspect(|_| n += 1)
             .all(|e| self.exec_seqs.iter().filter(|&&s| s == e.seq).count() == 1);
-        mem_ok && exec_ok && n == self.exec_seqs.len()
+        exec_ok && n == self.exec_seqs.len()
     }
 
     /// Delivers a completed result to exactly the consumers registered in
@@ -913,7 +983,9 @@ impl Core {
             debug_assert_eq!(c.src[slot], Src::Wait(pseq), "stale wakeup link");
             c.src[slot] = Src::Ready(v);
             link = std::mem::replace(&mut c.next_waiter[slot], NO_WAITER);
-            self.rob_tags[ci] = Self::tag_of(c);
+            if c.issue_ready() {
+                self.slots.ready |= 1 << ci;
+            }
         }
     }
 
@@ -1043,10 +1115,7 @@ impl Core {
                     int_occ += 1;
                 }
             }
-            if Self::orders_memory(entry.inst) {
-                self.mem_seqs.push_back(seq);
-            }
-            self.rob_tags.push_back(Self::tag_of(&entry));
+            self.slots.push(self.rob.len(), &entry);
             self.rob.push_back(entry);
             self.stats.dispatched += 1;
         }
@@ -1064,29 +1133,14 @@ impl Core {
         let lat = self.cfg.lat;
         let cycle = self.cycle;
 
-        // Walk the compact tags; only `READY` entries are issue candidates,
-        // and everything else is skipped, eight tags per word, without
-        // touching the ROB entry. A load younger than the memory-order gate
-        // is skipped the same way: `load_check` could only answer `Blocked`
-        // for it. The gate is found at the first candidate load and again
-        // after the store it names issues (and so gets its address) earlier
-        // in this walk.
-        let mut gate = None;
-        let mut tags = std::mem::take(&mut self.rob_tags);
-        let mut from = 0;
-        while issued < self.cfg.issue_width {
-            let Some(i) = next_ready(&tags, from) else {
-                break;
-            };
-            from = i + 1;
-            if self.behind_gate(&mut gate, i, tags[i]) {
-                debug_assert_eq!(
-                    self.load_check(i),
-                    LoadPath::Blocked,
-                    "gated load could issue"
-                );
-                continue;
-            }
+        // Visit the candidates oldest first, touching no other entry. Each
+        // issue may clear the gate (a store gets its address), so the
+        // candidates above it are taken afresh from the masks.
+        let mut cand = self.slots.candidates();
+        debug_assert!(self.gated_loads_blocked(), "gated load could issue");
+        while issued < self.cfg.issue_width && cand != 0 {
+            let i = cand.trailing_zeros() as usize;
+            cand &= cand - 1;
             let e = &self.rob[i];
             let class = e.inst.class();
             // Functional-unit availability.
@@ -1117,37 +1171,15 @@ impl Core {
             }
             // Memory ordering rules for loads.
             if class == InstClass::Load {
-                match self.load_check(i) {
+                let (size, sign) = match self.rob[i].inst {
+                    Inst::Lw { .. } => (4u8, true),
+                    Inst::Lb { .. } => (1u8, true),
+                    Inst::Lbu { .. } => (1u8, false),
+                    _ => unreachable!("load class"),
+                };
+                let (addr, raw, l) = match self.load_check(i) {
                     LoadPath::Blocked => continue,
-                    LoadPath::Forward(raw) => {
-                        let a = self.src_val(i, 0);
-                        let (offset, size, sign) = match self.rob[i].inst {
-                            Inst::Lw { offset, .. } => (offset, 4u8, true),
-                            Inst::Lb { offset, .. } => (offset, 1u8, true),
-                            Inst::Lbu { offset, .. } => (offset, 1u8, false),
-                            _ => unreachable!("load class"),
-                        };
-                        let addr = (a + offset as i64) as u64;
-                        let v = match (size, sign) {
-                            (1, true) => raw as u8 as i8 as i64,
-                            (1, false) => raw as u8 as i64,
-                            (4, true) => raw as u32 as i32 as i64,
-                            _ => raw,
-                        };
-                        let e = &mut self.rob[i];
-                        e.mem_addr = Some(addr);
-                        e.mem_size = size;
-                        e.value = v;
-                        let done_at = cycle + lat.agu as u64 + 1;
-                        e.status = Status::Executing(done_at);
-                        tags[i] = tag::EXECUTING | tag::IQ;
-                        self.exec_seqs.push(e.seq);
-                        self.exec_next_done = self.exec_next_done.min(done_at);
-                        ldst_units -= 1;
-                        issued += 1;
-                        self.stats.issued += 1;
-                        continue;
-                    }
+                    LoadPath::Forward(addr, raw) => (addr, raw, lat.agu + 1),
                     LoadPath::Memory(addr) => {
                         if !ports.load_ready(self.id, addr) {
                             // The hierarchy cannot start another fill (MSHR
@@ -1155,35 +1187,23 @@ impl Core {
                             // load/store unit and retry next cycle.
                             continue;
                         }
-                        let (size, sign) = match self.rob[i].inst {
-                            Inst::Lw { .. } => (4u8, true),
-                            Inst::Lb { .. } => (1u8, true),
-                            Inst::Lbu { .. } => (1u8, false),
-                            _ => unreachable!("load class"),
-                        };
-                        let pc = self.rob[i].pc;
-                        let (raw, mlat) = ports.load(self.id, addr, size, pc);
-                        let v = match (size, sign) {
-                            (1, true) => raw as u8 as i8 as i64,
-                            (1, false) => raw as u8 as i64,
-                            (4, true) => raw as u32 as i32 as i64,
-                            _ => raw as i64,
-                        };
-                        let e = &mut self.rob[i];
-                        e.mem_addr = Some(addr);
-                        e.mem_size = size;
-                        e.value = v;
-                        let done_at = cycle + (lat.agu + mlat) as u64;
-                        e.status = Status::Executing(done_at);
-                        tags[i] = tag::EXECUTING | tag::IQ;
-                        self.exec_seqs.push(e.seq);
-                        self.exec_next_done = self.exec_next_done.min(done_at);
-                        ldst_units -= 1;
-                        issued += 1;
-                        self.stats.issued += 1;
-                        continue;
+                        let (raw, mlat) = ports.load(self.id, addr, size, self.rob[i].pc);
+                        (addr, raw as i64, lat.agu + mlat)
                     }
-                }
+                };
+                let e = &mut self.rob[i];
+                e.mem_addr = Some(addr);
+                e.mem_size = size;
+                e.value = match (size, sign) {
+                    (1, true) => raw as u8 as i8 as i64,
+                    (1, false) => raw as u8 as i64,
+                    (4, true) => raw as u32 as i32 as i64,
+                    _ => raw,
+                };
+                ldst_units -= 1;
+                issued += 1;
+                self.start_exec(i, cycle + l as u64);
+                continue;
             }
 
             // Non-load execution.
@@ -1258,9 +1278,6 @@ impl Core {
                     e.value = b;
                     done_at = cycle + lat.agu as u64;
                     ldst_units -= 1;
-                    if gate == Some(e.seq) {
-                        gate = None; // the gate store now has its address
-                    }
                 }
                 Inst::SplLoad { .. } | Inst::HwqSend { .. } => {
                     // Reads its operand; the queue push happens at commit.
@@ -1270,14 +1287,34 @@ impl Core {
                 }
                 other => unreachable!("unexpected instruction in issue: {other}"),
             }
-            self.rob[i].status = Status::Executing(done_at);
-            tags[i] = tag::EXECUTING | tag::IQ;
-            self.exec_seqs.push(self.rob[i].seq);
-            self.exec_next_done = self.exec_next_done.min(done_at);
+            let store = class == InstClass::Store;
             issued += 1;
-            self.stats.issued += 1;
+            self.start_exec(i, done_at);
+            if store {
+                // The store has its address now; if it was the gate, the
+                // loads it held above it become candidates.
+                cand = self.slots.candidates() & !below(i + 1);
+                debug_assert!(self.gated_loads_blocked(), "gated load could issue");
+            }
         }
-        self.rob_tags = tags;
+    }
+
+    /// Puts the entry at ROB index `i` into a functional unit until
+    /// `done_at`.
+    fn start_exec(&mut self, i: usize, done_at: u64) {
+        let e = &mut self.rob[i];
+        e.status = Status::Executing(done_at);
+        self.exec_seqs.push(e.seq);
+        self.exec_next_done = self.exec_next_done.min(done_at);
+        self.slots.issued(i);
+        self.stats.issued += 1;
+    }
+
+    /// Whether `load_check` answers `Blocked` for every ready load the
+    /// memory-order gate keeps out of the candidates (debug checking).
+    fn gated_loads_blocked(&self) -> bool {
+        bits(self.slots.ready & !self.slots.candidates())
+            .all(|i| self.load_check(i) == LoadPath::Blocked)
     }
 
     fn src_val(&self, i: usize, s: usize) -> i64 {
@@ -1285,36 +1322,6 @@ impl Core {
             Src::Ready(v) => v,
             Src::Wait(_) => panic!("src not ready"),
         }
-    }
-
-    /// The memory-order gate: the seq of the oldest in-flight entry that
-    /// blocks every younger load — an unretired fence, atomic or hardware
-    /// barrier, or a store whose address is still unknown (`u64::MAX` when
-    /// there is none). [`Core::load_check`] answers `Blocked` for every load
-    /// younger than it.
-    fn load_gate(&self) -> u64 {
-        let Some(front) = self.rob.front().map(|e| e.seq) else {
-            return u64::MAX;
-        };
-        self.mem_seqs
-            .iter()
-            .copied()
-            .find(|&mseq| {
-                let e = &self.rob[(mseq - front) as usize];
-                !matches!(e.inst, Inst::Sw { .. } | Inst::Sb { .. }) || e.mem_addr.is_none()
-            })
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Whether the entry at ROB index `i`, carrying walk tag `t`, is a load
-    /// younger than the memory-order gate. `gate` caches the gate for one
-    /// walk (`None` until first needed); the entry itself is not touched.
-    fn behind_gate(&self, gate: &mut Option<u64>, i: usize, t: u8) -> bool {
-        if t & tag::LOAD == 0 {
-            return false;
-        }
-        let seq = self.rob.front().map_or(0, |e| e.seq) + i as u64;
-        seq > *gate.get_or_insert_with(|| self.load_gate())
     }
 
     /// Memory-disambiguation check for the load at ROB index `i`.
@@ -1331,17 +1338,12 @@ impl Core {
         };
         let addr = (base + offset as i64) as u64;
         let end = addr + size as u64;
-        // Older in-ROB stores and ordering points: `mem_seqs` holds exactly
-        // the ordering entries in program order, so the scan touches only
-        // those instead of the whole older ROB prefix.
-        let front = self.rob[0].seq;
-        let lseq = self.rob[i].seq;
+        // Older in-ROB stores and ordering points, oldest first: the scan
+        // visits the `orders` bits below the load, not the whole older ROB
+        // prefix.
         let mut forward: Option<i64> = None;
-        for &mseq in &self.mem_seqs {
-            if mseq >= lseq {
-                break; // younger than the load
-            }
-            let e = &self.rob[(mseq - front) as usize];
+        for j in bits(self.slots.orders & below(i)) {
+            let e = &self.rob[j];
             // Loads may not issue past an unretired fence, atomic, or
             // hardware barrier: these order memory across threads (a fence
             // after a barrier guarantees younger loads observe remote
@@ -1370,7 +1372,7 @@ impl Core {
             }
         }
         if let Some(v) = forward {
-            return LoadPath::Forward(v); // raw; sign handling at issue
+            return LoadPath::Forward(addr, v); // raw; sign handling at issue
         }
         // Post-commit store buffer: scan youngest-first so the most recent
         // matching store forwards its value.
@@ -1378,7 +1380,7 @@ impl Core {
             let send = s.addr + s.size as u64;
             if s.addr < end && addr < send {
                 if s.addr == addr && s.size == size {
-                    return LoadPath::Forward(s.value as i64);
+                    return LoadPath::Forward(addr, s.value as i64);
                 }
                 return LoadPath::Blocked;
             }
@@ -1435,7 +1437,6 @@ impl Core {
                 Self::iq_release(&mut iq, e);
             }
             e.in_iq = false;
-            self.rob_tags[i] = tag::DONE;
             self.wake_waiters(i);
         }
         self.iq_occ = iq;
@@ -1491,18 +1492,15 @@ impl Core {
         let squashed = self.rob.len() - keep;
         self.stats.squashed += squashed as u64;
         self.rob.truncate(keep);
-        self.rob_tags.truncate(keep);
+        self.slots.truncate(keep);
         // Rewind the seq counter over the squashed (never-committed) tail:
         // nothing references those seqs any more, and reissuing them keeps
         // ROB seqs contiguous so producer lookups stay O(1).
         if let Some(last) = self.rob.back() {
             self.next_seq = last.seq + 1;
         }
-        // Purge squashed seqs from the side lists before any are reissued.
+        // Purge squashed seqs from `exec_seqs` before any are reissued.
         let cut = self.next_seq;
-        while self.mem_seqs.back().is_some_and(|&s| s >= cut) {
-            self.mem_seqs.pop_back();
-        }
         self.exec_seqs.retain(|&s| s < cut);
         self.iq_occ = self.iq_recount();
         // Rebuild the rename map and the wakeup chains from surviving
@@ -1610,12 +1608,8 @@ impl Core {
                 }
                 _ => {}
             }
-            self.rob_tags.pop_front();
             let e = self.rob.pop_front().expect("non-empty ROB");
-            if Self::orders_memory(e.inst) {
-                let f = self.mem_seqs.pop_front();
-                debug_assert_eq!(f, Some(e.seq), "mem_seqs front is the oldest entry");
-            }
+            self.slots.retire();
             if let Some(d) = e.inst.dest() {
                 self.regs[d.index()] = e.value;
                 self.stats.regfile_writes += 1;
@@ -1658,7 +1652,6 @@ impl Core {
         if e.head_done {
             if cycle >= e.head_busy_until {
                 e.status = Status::Done;
-                self.rob_tags[0] = tag::DONE;
                 self.wake_waiters(0);
                 return true;
             }
@@ -1692,7 +1685,6 @@ impl Core {
             Inst::HwBar { id } => {
                 if ports.hwbar(self.id, id) {
                     e.status = Status::Done;
-                    self.rob_tags[0] = tag::DONE;
                     true
                 } else {
                     self.stats.hw_wait_cycles += 1;
@@ -1702,7 +1694,6 @@ impl Core {
             Inst::Fence => {
                 if self.store_buf.is_empty() {
                     e.status = Status::Done;
-                    self.rob_tags[0] = tag::DONE;
                     true
                 } else {
                     self.stats.fence_wait_cycles += 1;
@@ -1731,35 +1722,6 @@ impl Core {
             other => unreachable!("not an at-head op: {other}"),
         }
     }
-}
-
-/// Index of the first walk tag at or after `from` with `READY` set.
-fn next_ready(tags: &VecDeque<u8>, from: usize) -> Option<usize> {
-    let (head, tail) = tags.as_slices();
-    if from < head.len() {
-        if let Some(k) = first_ready(&head[from..]) {
-            return Some(from + k);
-        }
-        return first_ready(tail).map(|k| head.len() + k);
-    }
-    first_ready(&tail[from - head.len()..]).map(|k| from + k)
-}
-
-/// Offset of the first tag in `tags` with `READY` set, testing eight tags
-/// per word: most tags are not candidates, and the walks run every cycle.
-fn first_ready(tags: &[u8]) -> Option<usize> {
-    const MASK: u64 = tag::READY as u64 * 0x0101_0101_0101_0101;
-    let mut words = tags.chunks_exact(8);
-    let mut base = 0;
-    for w in &mut words {
-        let ready = u64::from_le_bytes(w.try_into().expect("8-byte chunk")) & MASK;
-        if ready != 0 {
-            return Some(base + ready.trailing_zeros() as usize / 8);
-        }
-        base += 8;
-    }
-    let rest = words.remainder().iter().position(|&t| t & tag::READY != 0);
-    rest.map(|k| base + k)
 }
 
 impl Default for Src {
@@ -1823,21 +1785,20 @@ impl Visit for Core {
         v.each(&mut self.regs)?;
         v.each(&mut self.map)?;
         v.deque(&mut self.rob, cfg.rob)?;
-        // The status/in_iq bits of the walk tags travel as they are; the
-        // derived bits are masked out and re-derived once the instruction
-        // words are back.
+        let program = &self.program;
+        let inst = |pc| program.fetch(pc).unwrap_or(Inst::Halt);
         if V::READS {
-            self.rob_tags.clear();
-            self.rob_tags.resize(self.rob.len(), 0);
+            self.rob.iter_mut().for_each(|e| e.inst = inst(e.pc));
+            self.slots = Slots::of(&self.rob);
         }
-        self.rob_tags.iter_mut().try_for_each(|t| {
-            let mut payload = *t & tag::PAYLOAD;
-            v.u8(&mut payload)?;
-            if V::READS {
-                *t = payload;
-            }
-            Ok(())
-        })?;
+        // Format v2 carries a status/in_iq byte per entry and, further on,
+        // the seqs of the memory-ordering entries. Both are derived from the
+        // entries; decoded bytes that disagree with them are refused.
+        for e in &self.rob {
+            let mut b = e.walk_byte();
+            v.u8(&mut b)?;
+            derived("ROB walk byte", b, e.walk_byte())?;
+        }
         self.iq_occ.visit(v)?;
         // fetch_buf may hold up to 2*fetch_width-1 entries plus one more
         // landed group of fetch_width.
@@ -1855,34 +1816,53 @@ impl Visit for Core {
         ])?;
         v.bool(&mut self.halted)?;
         v.u64s([&mut self.cycle, &mut self.next_seq])?;
-        v.deque(&mut self.mem_seqs, cfg.rob)?;
+        let orders = self.slots.orders;
+        let n = v.len(orders.count_ones() as usize, cfg.rob)?;
+        derived(
+            "memory-ordering entry count",
+            n,
+            orders.count_ones() as usize,
+        )?;
+        for e in bits(orders).map(|i| &self.rob[i]) {
+            let mut seq = e.seq;
+            v.u64(&mut seq)?;
+            derived("memory-ordering seq", seq, e.seq)?;
+        }
         v.vec(&mut self.exec_seqs, cfg.rob)?;
         v.u64(&mut self.exec_next_done)?;
         self.stats.visit(v)?;
         if V::READS {
-            let program = &self.program;
-            let inst = |pc| program.fetch(pc).unwrap_or(Inst::Halt);
-            self.rob.iter_mut().for_each(|e| e.inst = inst(e.pc));
-            for (t, e) in self.rob_tags.iter_mut().zip(&self.rob) {
-                *t |= Self::tag_of(e) & !tag::PAYLOAD;
-            }
             let fetched = self.fetch_buf.iter_mut().chain(&mut self.fetch_group);
             fetched.for_each(|f| f.inst = inst(f.pc));
             self.wb_completed.clear();
-            debug_assert!(self.tags_in_sync(), "restored rob_tags out of sync");
-            debug_assert!(
-                self.side_lists_in_sync(),
-                "restored mem_seqs/exec_seqs out of sync"
-            );
+            debug_assert!(self.exec_seqs_in_sync(), "restored exec_seqs out of sync");
         }
         Ok(())
+    }
+}
+
+/// Refuses a decoded value that disagrees with the one derived from the
+/// decoded ROB entries.
+fn derived<T: PartialEq + std::fmt::Display>(
+    what: &str,
+    read: T,
+    want: T,
+) -> Result<(), SnapError> {
+    if read == want {
+        Ok(())
+    } else {
+        Err(SnapError::Corrupt(format!(
+            "{what} {read}, entries say {want}"
+        )))
     }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoadPath {
     Blocked,
-    Forward(i64),
+    /// Forward this raw value from an older store to the load at this
+    /// effective address.
+    Forward(u64, i64),
     /// Go to the memory hierarchy at this effective address.
     Memory(u64),
 }
@@ -1935,9 +1915,7 @@ mod tests {
             if core.halted() {
                 break;
             }
-            let mut gate = None;
-            let mut tags = core.rob_tags.iter().enumerate();
-            if tags.any(|(i, &t)| t & tag::READY != 0 && core.behind_gate(&mut gate, i, t)) {
+            if core.slots.ready & !core.slots.candidates() != 0 {
                 gated += 1;
             }
             let claim_inert = match core.next_event(&ports) {
@@ -2097,39 +2075,312 @@ mod tests {
         );
     }
 
-    /// The word-at-a-time tag scan finds exactly what a plain scan finds,
-    /// from every start index, across the wrap point of the ring buffer.
+    /// One step of a seeded xorshift stream.
+    fn xorshift(seed: &mut u32) -> u32 {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 17;
+        *seed ^= *seed << 5;
+        *seed
+    }
+
+    /// A random ROB entry at `seq`: one of the instruction kinds the walk
+    /// masks tell apart, in a random status, issue-queue state, operand
+    /// readiness and store-address state.
+    fn random_entry(seed: &mut u32, seq: u64) -> RobEntry {
+        const KINDS: [Inst; 9] = [
+            Inst::Lw {
+                rd: R1,
+                base: R2,
+                offset: 0,
+            },
+            Inst::Lbu {
+                rd: R1,
+                base: R2,
+                offset: 1,
+            },
+            Inst::Sw {
+                rs: R1,
+                base: R2,
+                offset: 4,
+            },
+            Inst::Sb {
+                rs: R1,
+                base: R2,
+                offset: 5,
+            },
+            Inst::Fence,
+            Inst::AmoAdd {
+                rd: R1,
+                base: R2,
+                rs: R3,
+            },
+            Inst::HwBar { id: 0 },
+            Inst::Alu {
+                op: remap_isa::AluOp::Add,
+                rd: R1,
+                rs1: R2,
+                rs2: R3,
+            },
+            Inst::Nop,
+        ];
+        let r = xorshift(seed);
+        let src = |k: u32| {
+            if r >> k & 3 != 0 {
+                Src::Ready(0)
+            } else {
+                Src::Wait(0)
+            }
+        };
+        RobEntry {
+            seq,
+            inst: KINDS[r as usize % KINDS.len()],
+            status: [
+                Status::Waiting,
+                Status::Waiting,
+                Status::Executing(9),
+                Status::Done,
+            ][(r >> 8) as usize % 4],
+            in_iq: r >> 10 & 3 != 0,
+            src: [src(12), src(14)],
+            mem_addr: (r >> 16 & 1 != 0).then_some(0x100),
+            ..RobEntry::default()
+        }
+    }
+
+    /// The walk's candidates by a plain scan over the entries: ready and
+    /// not (a waiting load younger than the oldest gating entry).
+    fn plain_candidates(rob: &VecDeque<RobEntry>) -> Vec<usize> {
+        let gates = |e: &RobEntry| match e.inst {
+            Inst::Fence | Inst::AmoAdd { .. } | Inst::HwBar { .. } => true,
+            Inst::Sw { .. } | Inst::Sb { .. } => e.mem_addr.is_none(),
+            _ => false,
+        };
+        let gate = rob.iter().find(|e| gates(e)).map_or(u64::MAX, |e| e.seq);
+        let waiting = |e: &RobEntry| e.status == Status::Waiting;
+        let ready = |e: &RobEntry| {
+            waiting(e)
+                && e.in_iq
+                && !e.inst.is_at_head_only()
+                && e.src.iter().all(|s| matches!(s, Src::Ready(_)))
+        };
+        let load = |e: &RobEntry| waiting(e) && e.inst.class() == InstClass::Load;
+        let cands = rob.iter().enumerate();
+        cands
+            .filter(|(_, e)| ready(e) && !(load(e) && e.seq > gate))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Asserts the incrementally kept masks equal a recount and that the
+    /// walk visits exactly the plain scan's candidates, in ROB order.
+    fn assert_walk(slots: &Slots, rob: &VecDeque<RobEntry>, what: &str) {
+        assert_eq!(*slots, Slots::of(rob), "{what}: masks drifted");
+        let walk: Vec<usize> = bits(slots.candidates()).collect();
+        assert_eq!(walk, plain_candidates(rob), "{what}: walk order");
+    }
+
+    /// The mask walk visits exactly what a plain scan over the entries
+    /// selects, on seeded random ROBs kept by dispatch, issue, commit and
+    /// squash, including full 64-entry ROBs whose ring buffer has wrapped.
     #[test]
-    fn next_ready_matches_a_plain_scan() {
+    fn walk_candidates_match_a_plain_scan() {
         let mut seed = 0x9e37_79b9u32;
         let mut wrapped = false;
-        for len in [0usize, 1, 7, 8, 9, 23, 64] {
-            let mut tags: VecDeque<u8> = VecDeque::with_capacity(64);
-            let cap = tags.capacity();
+        for len in [0usize, 1, 7, 9, 31, 63, 64] {
+            let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(MAX_ROB);
+            let cap = rob.capacity();
             for head in [0, 5, cap - 3] {
                 // Move the ring's head, so the entries wrap past its end.
-                tags.clear();
-                tags.extend(std::iter::repeat_n(0, head));
-                while tags.pop_front().is_some() {}
-                for _ in 0..len {
-                    seed ^= seed << 13;
-                    seed ^= seed >> 17;
-                    seed ^= seed << 5;
-                    let ready = if seed.is_multiple_of(5) {
-                        tag::READY
-                    } else {
-                        0
-                    };
-                    tags.push_back(ready | (seed as u8 & (tag::PAYLOAD | tag::LOAD)));
+                rob.clear();
+                rob.extend((0..head).map(|_| RobEntry::default()));
+                while rob.pop_front().is_some() {}
+                let mut slots = Slots::default();
+                for seq in 100..100 + len as u64 {
+                    let e = random_entry(&mut seed, seq);
+                    slots.push(rob.len(), &e);
+                    rob.push_back(e);
                 }
-                wrapped |= !tags.as_slices().1.is_empty();
-                for from in 0..=len {
-                    let plain = (from..len).find(|&i| tags[i] & tag::READY != 0);
-                    assert_eq!(next_ready(&tags, from), plain, "len {len} from {from}");
+                wrapped |= !rob.as_slices().1.is_empty();
+                assert_walk(&slots, &rob, &format!("len {len} head {head} dispatch"));
+                // Issue, commit and squash in a seeded order until empty.
+                while !rob.is_empty() {
+                    let what = format!("len {len} head {head} at {}", rob.len());
+                    match xorshift(&mut seed) % 4 {
+                        0 | 1 => {
+                            let Some(i) = bits(slots.candidates()).next() else {
+                                rob.pop_front();
+                                slots.retire();
+                                assert_walk(&slots, &rob, &what);
+                                continue;
+                            };
+                            let e = &mut rob[i];
+                            e.status = Status::Executing(12);
+                            if matches!(e.inst, Inst::Sw { .. } | Inst::Sb { .. }) {
+                                e.mem_addr = Some(0x200);
+                            }
+                            slots.issued(i);
+                        }
+                        2 => {
+                            rob.pop_front();
+                            slots.retire();
+                        }
+                        _ => {
+                            let keep = xorshift(&mut seed) as usize % (rob.len() + 1);
+                            rob.truncate(keep);
+                            slots.truncate(keep);
+                        }
+                    }
+                    assert_walk(&slots, &rob, &what);
                 }
             }
         }
         assert!(wrapped, "no case wrapped the ring");
+    }
+
+    /// The extreme positions of a full ROB: a dispatch into bit 63, a
+    /// commit shift out of a full ROB, and squashes keeping 0, 63 and 64
+    /// entries.
+    #[test]
+    fn walk_masks_at_the_edges_of_a_full_rob() {
+        let mut seed = 0x0bad_cafe_u32;
+        let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(MAX_ROB);
+        let mut slots = Slots::default();
+        for seq in 0..MAX_ROB as u64 - 1 {
+            let e = random_entry(&mut seed, seq);
+            slots.push(rob.len(), &e);
+            rob.push_back(e);
+        }
+        let last = RobEntry {
+            seq: 63,
+            inst: Inst::Lw {
+                rd: R1,
+                base: R2,
+                offset: 0,
+            },
+            in_iq: true,
+            ..RobEntry::default()
+        };
+        slots.push(rob.len(), &last);
+        rob.push_back(last);
+        assert_eq!(rob.len(), MAX_ROB);
+        assert_eq!(slots.ready >> 63, 1, "dispatch into bit 63");
+        assert_eq!(slots.loads >> 63, 1, "dispatch into bit 63");
+        assert_walk(&slots, &rob, "full");
+        for keep in [0, 63, 64] {
+            let (mut r, mut s) = (rob.clone(), slots);
+            r.truncate(keep);
+            s.truncate(keep);
+            assert_walk(&s, &r, &format!("squash keeping {keep}"));
+        }
+        rob.pop_front();
+        slots.retire();
+        assert_eq!(slots.ready >> 62, 1, "commit shifts the youngest down");
+        assert_walk(&slots, &rob, "commit from full");
+    }
+
+    /// When the store holding the memory-order gate issues, the loads it
+    /// gated become candidates in the same walk: on a core with load/store
+    /// units to spare, the gated load issues in the store's cycle.
+    #[test]
+    fn gate_store_frees_its_loads_in_the_same_walk() {
+        let mut a = Asm::new("t");
+        a.li(R1, 0x100);
+        a.li(R2, 5);
+        a.sw(R2, R1, 0);
+        a.lw(R3, R1, 64);
+        a.halt();
+        let wide = CoreConfig {
+            issue_width: 4,
+            ldst_units: 4,
+            ..CoreConfig::ooo2()
+        };
+        let mut core = Core::new(0, wide, a.assemble().unwrap());
+        let mut ports = NullPorts {
+            mem_latency: 2,
+            ..NullPorts::default()
+        };
+        let mut issued_at = [None; 2];
+        while core.step(&mut ports) {
+            for e in &core.rob {
+                let k = match e.inst {
+                    Inst::Sw { .. } => 0,
+                    Inst::Lw { .. } => 1,
+                    _ => continue,
+                };
+                if e.status != Status::Waiting {
+                    issued_at[k].get_or_insert(core.cycle());
+                }
+            }
+        }
+        assert!(issued_at[0].is_some(), "the store never issued");
+        assert_eq!(issued_at[0], issued_at[1], "store and load issue cycles");
+    }
+
+    /// Snapshots carry the walk state only as bytes derived from the
+    /// entries: a mid-run core round-trips to equal masks and equal bytes,
+    /// and a walk byte that disagrees with its decoded entry is refused.
+    #[test]
+    fn snapshot_walk_bytes_are_derived_and_checked() {
+        use remap_snap::{Reader, Writer};
+        let mut a = Asm::new("t");
+        a.li(R1, 0x1000);
+        a.li(R2, 0);
+        a.li(R3, 12);
+        a.label("loop");
+        a.lw(R10, R1, 0);
+        a.sw(R2, R10, 0);
+        a.lw(R5, R10, 0);
+        a.fence();
+        a.addi(R1, R1, 8);
+        a.addi(R2, R2, 1);
+        a.bne(R2, R3, "loop");
+        a.halt();
+        let program = a.assemble().unwrap();
+        let mut core = Core::new(0, CoreConfig::ooo1(), program.clone());
+        let mut ports = NullPorts {
+            mem_latency: 25,
+            ..NullPorts::default()
+        };
+        while core.slots.orders.count_ones() < 2 || core.slots.gates == 0 {
+            assert!(core.step(&mut ports), "no mid-run state with gates");
+        }
+        let encode = |c: &mut Core| {
+            let mut w = Writer::default();
+            c.visit(&mut w).unwrap();
+            w.into_vec()
+        };
+        let bytes = encode(&mut core);
+        let mut back = Core::new(0, CoreConfig::ooo1(), program.clone());
+        back.visit(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(back.slots, core.slots, "decoded masks");
+        assert_eq!(encode(&mut back), bytes, "re-encoded bytes");
+        // The first walk byte follows the predictor, registers, rename map
+        // and ROB entries; flip its `in_iq` bit.
+        let mut w = Writer::default();
+        core.pred.visit(&mut w).unwrap();
+        w.each(&mut core.regs).unwrap();
+        w.each(&mut core.map).unwrap();
+        w.deque(&mut core.rob, MAX_ROB).unwrap();
+        let mut bad = bytes.clone();
+        bad[w.into_vec().len()] ^= 0b100;
+        let mut fresh = Core::new(0, CoreConfig::ooo1(), program);
+        let err = fresh.visit(&mut Reader::new(&bad)).unwrap_err();
+        assert!(
+            matches!(&err, SnapError::Corrupt(why) if why.contains("walk byte")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ROB of 65 entries exceeds")]
+    fn rob_above_64_entries_is_refused() {
+        let mut a = Asm::new("t");
+        a.halt();
+        let cfg = CoreConfig {
+            rob: 65,
+            ..CoreConfig::ooo1()
+        };
+        Core::new(0, cfg, a.assemble().unwrap());
     }
 
     #[test]

@@ -1319,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn load_gate_refuses_only_a_full_file() {
+    fn load_ready_refuses_only_a_full_file() {
         let mut h = h2();
         // Fill all four L1D MSHRs with distinct-set demand misses at t=0.
         for i in 0..4u64 {

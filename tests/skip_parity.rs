@@ -286,3 +286,69 @@ fn grid_skip_parity_broadcast_reference() {
         "faulted 36-core grid run injected nothing; the check is vacuous"
     );
 }
+
+/// Cycles between the digest cuts of [`assert_periodic_parity`]: a prime,
+/// so the cuts drift across SPL edges and barrier phases.
+const CUT_EVERY: u64 = 997;
+
+/// Advances a skip-on and a skip-off copy of one configuration with
+/// `run_until` in steps of [`CUT_EVERY`] cycles and, at every cut, compares
+/// the state digest of every part except `skip` (the skip engine's own
+/// bookkeeping). A failure names the first cut where the two differ and
+/// the parts that differ, instead of a final statistic.
+fn assert_periodic_parity(label: &str, mut skipped: System, mut ticked: System) {
+    skipped.set_skip(true);
+    ticked.set_skip(false);
+    let mut cut = 0;
+    loop {
+        cut += CUT_EVERY;
+        assert!(cut <= MAX_CYCLES, "{label}: no halt by cycle {cut}");
+        let running = skipped.run_until(cut);
+        assert_eq!(
+            running,
+            ticked.run_until(cut),
+            "{label}: halt diverged by {cut}"
+        );
+        let (ds, dt) = (skipped.state_digest(), ticked.state_digest());
+        assert_eq!(ds.len(), dt.len(), "{label}: state digest geometry");
+        let diff: Vec<&str> = ds
+            .iter()
+            .zip(&dt)
+            .filter(|(s, t)| s != t && s.0 != "skip")
+            .map(|(s, _)| s.0.as_str())
+            .collect();
+        assert!(
+            diff.is_empty(),
+            "{label}: first divergence by cycle {cut}, in {diff:?}"
+        );
+        if !running {
+            return;
+        }
+    }
+}
+
+/// [`assert_periodic_parity`] over the canonical matrix: the cores' derived
+/// walk state and the barrier bus's bookkeeping must match the ticked run
+/// at every cut, not only in the final report.
+#[test]
+fn canonical_workloads_periodic_digest_parity() {
+    use remap_suite::workloads::catalog;
+    let skipped = catalog::canonical();
+    for ((label, s), (_, t)) in skipped.into_iter().zip(catalog::canonical()) {
+        assert_periodic_parity(&label, s, t);
+    }
+}
+
+/// [`assert_periodic_parity`] on 16/36/64-core grids, where the barrier
+/// bus carries cross-cluster arrivals across bulk skips.
+#[test]
+fn grid_workloads_periodic_digest_parity() {
+    for (b, p, n) in [
+        (BarrierBench::Dijkstra, 64, 80),
+        (BarrierBench::Ll6, 36, 64),
+        (BarrierBench::Ll3, 16, 64),
+    ] {
+        let m = BarrierMode::Remap(p);
+        assert_periodic_parity(&format!("{b:?} {m:?} n={n}"), b.build(m, n), b.build(m, n));
+    }
+}
